@@ -14,7 +14,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -117,12 +117,10 @@ class BenchPlan:
 def _config_to_dict(config: SolverConfig) -> dict:
     d = {"kind": config.kind}
     defaults = SolverConfig(kind=config.kind)
-    for name in ("epsilon", "max_outer_iters", "time_budget", "objective_tol",
-                 "kkt_tol", "inner_repeats", "snmu_cycle", "record_every",
-                 "h_first", "snmu_exact_scaling"):
-        value = getattr(config, name)
-        if value != getattr(defaults, name):
-            d[name] = list(value) if isinstance(value, tuple) else value
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if value != getattr(defaults, field.name):
+            d[field.name] = list(value) if isinstance(value, tuple) else value
     return d
 
 

@@ -3,10 +3,11 @@
 Blocks are the columns of H and the rows of W. For a column subproblem with
 data column v the step constant is the 1-norm of v, which makes the per-entry
 denominator 1 + h*g/L provably positive whenever the matching dictionary
-column is nonzero; the code asserts this rather than clamping. Column updates
-of H are mutually independent given W (and symmetrically for rows of W), and
-are reduced in a fixed summation order, so results never depend on any
-parallel scheduling.
+column is nonzero; the code asserts this rather than clamping. The step of W
+is the step of H run on the transposed problem, the step of one column the
+same code on one column. Column updates of H are mutually independent given
+W, and are reduced in a fixed summation order, so results never depend on
+any parallel scheduling.
 """
 from __future__ import annotations
 
@@ -14,6 +15,36 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .objective import support_ratio
+from .state import SolverState
+
+
+def _bmd_half(ratio, L, state, epsilon):
+    """Mirror step of every column of state.H, its row sums and the product.
+
+    ``ratio`` (V / WH) and ``L`` (the data column 1-norms) are in the state's
+    orientation. Columns with L == 0 are set to epsilon.
+    """
+    W, H = state.W, state.H
+    live = L > 0
+    G = state.col_sums_W[:, None] - W.T @ ratio
+    denom = np.zeros_like(H)
+    np.divide(H * G, L[None, :], out=denom, where=live[None, :])
+    denom += 1.0
+    bad = live[None, :] & (denom <= 0)
+    if np.any(bad):
+        k, j = np.argwhere(state.oriented(bad))[0]
+        raise RuntimeError(
+            f"mirror-step denominator {state.oriented(denom)[k, j]!r} at "
+            f"{'W' if state.transposed else 'H'} entry ({k}, {j}) is not "
+            "positive; internal consistency violated (L must be the column "
+            "1-norm)"
+        )
+    H /= denom
+    np.maximum(H, epsilon, out=H)
+    if not live.all():
+        H[:, ~live] = epsilon
+    H.sum(axis=1, out=state.row_sums_H)
+    np.matmul(W, H, out=state.WH)
 
 
 def bmd_update_column(v, W, h, L, epsilon) -> np.ndarray:
@@ -22,38 +53,15 @@ def bmd_update_column(v, W, h, L, epsilon) -> np.ndarray:
     Per entry l: h[l] / (1 + h[l] * g[l] / L) clamped below at epsilon, where
     g is the column gradient and L must be the 1-norm of v.
     """
-    v = np.asarray(v, dtype=np.float64).reshape(-1, 1)
-    h = np.asarray(h, dtype=np.float64).reshape(-1)
-    W = np.asarray(W, dtype=np.float64)
     if L <= 0:
         raise DegenerateInputError(
             "zero data column: the mirror step is undefined, set the column "
             "to epsilon instead"
         )
-    Wh = W @ h.reshape(-1, 1)
-    ratio = support_ratio(v, Wh)
-    g = W.sum(axis=0) - (W.T @ ratio).reshape(-1)
-    denom = 1.0 + h * g / L
-    if np.any(denom <= 0):
-        l = int(np.flatnonzero(denom <= 0)[0])
-        raise RuntimeError(
-            f"mirror-step denominator {denom[l]!r} at entry {l} is not "
-            "positive; internal consistency violated (L must be the column "
-            "1-norm)"
-        )
-    out = h / denom
-    np.maximum(out, epsilon, out=out)
-    return out
-
-
-def _check_denominators(denom, active, what):
-    bad = active & (denom <= 0)
-    if np.any(bad):
-        k, j = np.argwhere(bad)[0]
-        raise RuntimeError(
-            f"mirror-step denominator {denom[k, j]!r} at {what} ({k}, {j}) is "
-            "not positive; internal consistency violated"
-        )
+    state = SolverState.from_factors(W, np.reshape(h, (-1, 1)))
+    v = np.asarray(v, dtype=np.float64).reshape(-1, 1)
+    _bmd_half(support_ratio(v, state.WH), np.full(1, float(L)), state, epsilon)
+    return state.H.reshape(-1)
 
 
 def bmd_step(V, state, epsilon, h_first: bool = True):
@@ -63,48 +71,7 @@ def bmd_step(V, state, epsilon, h_first: bool = True):
     directly: only the linear term remains there, so any feasible value is
     optimal and the choice is deterministic. The objective never increases.
     """
-    if h_first:
-        _bmd_half_H(V, state, epsilon)
-        _bmd_half_W(V, state, epsilon)
-    else:
-        _bmd_half_W(V, state, epsilon)
-        _bmd_half_H(V, state, epsilon)
+    for half in state.halves(h_first):
+        _bmd_half(half.oriented(support_ratio(V, state.WH)),
+                  half.oriented(V).sum(axis=0), half, epsilon)
     return state
-
-
-def _bmd_half_H(V, state, epsilon):
-    W, H = state.W, state.H
-    L = V.sum(axis=0)
-    live = L > 0
-    ratio = support_ratio(V, state.WH)
-    G = state.col_sums_W[:, None] - W.T @ ratio
-    denom = np.zeros_like(H)
-    np.divide(H * G, L[None, :], out=denom, where=live[None, :])
-    denom += 1.0
-    _check_denominators(denom, np.broadcast_to(live[None, :], H.shape), "H entry")
-    Hnew = H / denom
-    np.maximum(Hnew, epsilon, out=Hnew)
-    if not live.all():
-        Hnew[:, ~live] = epsilon
-    state.H = Hnew
-    state.row_sums_H = Hnew.sum(axis=1)
-    state.WH = W @ Hnew
-
-
-def _bmd_half_W(V, state, epsilon):
-    W, H = state.W, state.H
-    L = V.sum(axis=1)
-    live = L > 0
-    ratio = support_ratio(V, state.WH)
-    G = state.row_sums_H[None, :] - ratio @ H.T
-    denom = np.zeros_like(W)
-    np.divide(W * G, L[:, None], out=denom, where=live[:, None])
-    denom += 1.0
-    _check_denominators(denom, np.broadcast_to(live[:, None], W.shape), "W entry")
-    Wnew = W / denom
-    np.maximum(Wnew, epsilon, out=Wnew)
-    if not live.all():
-        Wnew[~live, :] = epsilon
-    state.W = Wnew
-    state.col_sums_W = Wnew.sum(axis=0)
-    state.WH = Wnew @ H

@@ -1,10 +1,11 @@
 """Multiplicative updates: alternating surrogate minimization for the KL objective.
 
 Each half-update multiplies a factor entrywise by a data-to-product ratio
-aggregated through the other factor, then clamps below at epsilon. Column
-updates of H (and row updates of W) are mutually independent given the other
-factor, and the implementation reduces them with a fixed summation order
-(one matrix product), so results never depend on any parallel scheduling.
+aggregated through the other factor, then clamps below at epsilon. The
+update of W is the update of H run on the transposed problem. Column updates
+of H are mutually independent given W, and the implementation reduces them
+with a fixed summation order (one matrix product), so results never depend
+on any parallel scheduling.
 """
 from __future__ import annotations
 
@@ -14,38 +15,45 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .objective import support_ratio
+from .state import SolverState
+
+# Indexed by SolverState.transposed.
+_ZERO_LOCKING = (
+    "column {} of W has zero sum; the multiplicative update cannot move the "
+    "corresponding row of H (zero locking)",
+    "row {} of H has zero sum; the multiplicative update cannot move the "
+    "corresponding column of W (zero locking)",
+)
 
 
-def mu_update_H(V, W, H, WH, epsilon, col_sums_W=None) -> np.ndarray:
+def _mu_half(ratio, state, epsilon):
+    """Update state.H, its row sums and the product in place; ``ratio`` is
+    V / WH in the state's orientation."""
+    if state.col_sums_W.min() <= 0:
+        k = np.flatnonzero(state.col_sums_W <= 0)[0]
+        raise DegenerateInputError(_ZERO_LOCKING[state.transposed].format(k))
+    H = state.H
+    # Built in H's layout (transposed on a W half) so the multiply streams.
+    H *= np.matmul(state.W.T, ratio, out=np.empty_like(H))
+    H /= state.col_sums_W[:, None]
+    if epsilon > 0:
+        np.maximum(H, epsilon, out=H)
+    H.sum(axis=1, out=state.row_sums_H)
+    np.matmul(state.W, H, out=state.WH)
+
+
+def mu_update_H(V, W, H, WH, epsilon) -> np.ndarray:
     """One multiplicative update of H with W fixed, clamped below at epsilon."""
-    colsums = W.sum(axis=0) if col_sums_W is None else col_sums_W
-    zero = np.flatnonzero(colsums <= 0)
-    if zero.size:
-        raise DegenerateInputError(
-            f"column {zero[0]} of W has zero sum; the multiplicative update "
-            "cannot move the corresponding row of H (zero locking)"
-        )
-    ratio = support_ratio(V, WH)
-    Hnew = H * (W.T @ ratio) / colsums[:, None]
-    if epsilon > 0:
-        np.maximum(Hnew, epsilon, out=Hnew)
-    return Hnew
+    state = SolverState.from_factors(W, H)
+    _mu_half(support_ratio(V, WH), state, epsilon)
+    return state.H
 
 
-def mu_update_W(V, W, H, WH, epsilon, row_sums_H=None) -> np.ndarray:
+def mu_update_W(V, W, H, WH, epsilon) -> np.ndarray:
     """One multiplicative update of W with H fixed, clamped below at epsilon."""
-    rowsums = H.sum(axis=1) if row_sums_H is None else row_sums_H
-    zero = np.flatnonzero(rowsums <= 0)
-    if zero.size:
-        raise DegenerateInputError(
-            f"row {zero[0]} of H has zero sum; the multiplicative update "
-            "cannot move the corresponding column of W (zero locking)"
-        )
-    ratio = support_ratio(V, WH)
-    Wnew = W * (ratio @ H.T) / rowsums[None, :]
-    if epsilon > 0:
-        np.maximum(Wnew, epsilon, out=Wnew)
-    return Wnew
+    state = SolverState.from_factors(W, H)
+    _mu_half(support_ratio(V, WH).T, state.halves()[1], epsilon)
+    return state.W
 
 
 def mu_step(V, state, epsilon, h_first: bool = True):
@@ -57,20 +65,8 @@ def mu_step(V, state, epsilon, h_first: bool = True):
     makes the product match the column sums of the data exactly, and the
     update of W its row sums.
     """
-    if h_first:
-        state.H = mu_update_H(V, state.W, state.H, state.WH, epsilon, state.col_sums_W)
-        state.row_sums_H = state.H.sum(axis=1)
-        state.WH = state.W @ state.H
-        state.W = mu_update_W(V, state.W, state.H, state.WH, epsilon, state.row_sums_H)
-        state.col_sums_W = state.W.sum(axis=0)
-        state.WH = state.W @ state.H
-    else:
-        state.W = mu_update_W(V, state.W, state.H, state.WH, epsilon, state.row_sums_H)
-        state.col_sums_W = state.W.sum(axis=0)
-        state.WH = state.W @ state.H
-        state.H = mu_update_H(V, state.W, state.H, state.WH, epsilon, state.col_sums_W)
-        state.row_sums_H = state.H.sum(axis=1)
-        state.WH = state.W @ state.H
+    for half in state.halves(h_first):
+        _mu_half(half.oriented(support_ratio(V, state.WH)), half, epsilon)
     return state
 
 

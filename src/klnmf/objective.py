@@ -14,7 +14,8 @@ import numpy as np
 from .errors import DegenerateInputError, NonDifferentiableError, ShapeError
 from .matrices import as_matrix_array
 
-#: Relative-error denominators smaller than this are treated as degenerate.
+#: Relative-error denominators at most this fraction of sum(V) are treated as
+#: degenerate; both scale linearly with V, so the test is scale-free.
 NORMALIZER_FLOOR = 1e-12
 
 
@@ -96,12 +97,17 @@ class RelativeError(NamedTuple):
     degenerate: bool
 
 
-def _check_conforming(V, W, H):
+def _conforming(V, W, H):
+    """V, W and H as float arrays, checked to conform."""
+    V = as_matrix_array(V)
+    W = as_matrix_array(W)
+    H = as_matrix_array(H)
     m, n = V.shape
     if W.shape[0] != m or H.shape[1] != n or W.shape[1] != H.shape[0]:
         raise ShapeError(
             f"shapes do not conform: V={V.shape}, W={W.shape}, H={H.shape}"
         )
+    return V, W, H
 
 
 def support_ratio(V: np.ndarray, WH: np.ndarray) -> np.ndarray:
@@ -127,23 +133,8 @@ def kl_divergence(V, W, H) -> ExtendedObjective:
     Entries with V == 0 contribute exactly their WH term; the result is the
     infinite state as soon as V > 0 meets WH == 0.
     """
-    V = as_matrix_array(V)
-    W = as_matrix_array(W)
-    H = as_matrix_array(H)
-    _check_conforming(V, W, H)
-    return _kl_of_product(V, W @ H)
-
-
-def _kl_of_product(V: np.ndarray, WH: np.ndarray) -> ExtendedObjective:
-    mask = V > 0
-    v = V[mask]
-    wh = WH[mask]
-    if wh.size and float(wh.min()) <= 0.0:
-        return ExtendedObjective.infinite()
-    total = float(WH.sum())
-    if v.size:
-        total += float(v @ np.log(v / wh)) - float(v.sum())
-    return ExtendedObjective.finite(total)
+    V, W, H = _conforming(V, W, H)
+    return KLObjective(V).of_product(W @ H)
 
 
 def kl_normalizer(V) -> float:
@@ -152,32 +143,21 @@ def kl_normalizer(V) -> float:
     This is the denominator used to turn objectives into relative errors; it
     is 0 for row-uniform data, which callers must guard.
     """
-    V = as_matrix_array(V)
-    n = V.shape[1]
-    row_means = V.sum(axis=1, keepdims=True) / n
-    mask = V > 0
-    v = V[mask]
-    if not v.size:
-        return 0.0
-    means = np.broadcast_to(row_means, V.shape)[mask]
-    return float(v @ np.log(v / means))
+    return KLObjective(V).normalizer
 
 
 def relative_error(V, W, H) -> RelativeError:
     """KL objective divided by the data normalizer.
 
     An infinite objective propagates as an infinite relative error; a
-    near-zero normalizer (|.| < NORMALIZER_FLOOR) yields the raw objective
-    with the degenerate flag set.
+    near-zero normalizer (|.| <= NORMALIZER_FLOOR * sum(V)) yields the raw
+    objective with the degenerate flag set.
     """
-    V = as_matrix_array(V)
-    obj = kl_divergence(V, W, H)
-    if not obj.is_finite:
-        return RelativeError(math.inf, False)
-    denom = kl_normalizer(V)
-    if abs(denom) < NORMALIZER_FLOOR:
-        return RelativeError(obj.value, True)
-    return RelativeError(obj.value / denom, False)
+    V, W, H = _conforming(V, W, H)
+    objective = KLObjective(V)
+    obj = objective.of_product(W @ H)
+    return RelativeError(objective.relative(obj),
+                         obj.is_finite and objective.degenerate_normalizer)
 
 
 def optimal_scale(V, W, H) -> float:
@@ -185,37 +165,31 @@ def optimal_scale(V, W, H) -> float:
 
     Equals sum(V) / sum(WH); the pair is scaled exactly when this is 1.
     """
-    V = as_matrix_array(V)
-    W = as_matrix_array(W)
-    H = as_matrix_array(H)
-    _check_conforming(V, W, H)
+    V, W, H = _conforming(V, W, H)
     total_wh = float(W.sum(axis=0) @ H.sum(axis=1))
     if total_wh <= 0:
         raise DegenerateInputError("product sums to zero; optimal scale undefined")
     return float(V.sum()) / total_wh
 
 
+def _grad_H(ratio, W) -> np.ndarray:
+    return W.sum(axis=0)[:, None] - W.T @ ratio
+
+
 def grad_W(V, W, H) -> np.ndarray:
     """Entrywise partial derivatives of the objective with respect to W.
 
-    grad[i, k] = sum_j H[k, j] - sum_{j: V[i,j] > 0} V[i, j] H[k, j] / WH[i, j].
+    grad[i, k] = sum_j H[k, j] - sum_{j: V[i,j] > 0} V[i, j] H[k, j] / WH[i, j],
+    the H gradient of the transposed problem V.T ~ H.T W.T.
     """
-    V = as_matrix_array(V)
-    W = as_matrix_array(W)
-    H = as_matrix_array(H)
-    _check_conforming(V, W, H)
-    ratio = support_ratio(V, W @ H)
-    return H.sum(axis=1)[None, :] - ratio @ H.T
+    V, W, H = _conforming(V, W, H)
+    return _grad_H(support_ratio(V, W @ H).T, H.T).T
 
 
 def grad_H(V, W, H) -> np.ndarray:
-    """Entrywise partial derivatives with respect to H (transpose symmetry)."""
-    V = as_matrix_array(V)
-    W = as_matrix_array(W)
-    H = as_matrix_array(H)
-    _check_conforming(V, W, H)
-    ratio = support_ratio(V, W @ H)
-    return W.sum(axis=0)[:, None] - W.T @ ratio
+    """Entrywise partial derivatives with respect to H."""
+    V, W, H = _conforming(V, W, H)
+    return _grad_H(support_ratio(V, W @ H), W)
 
 
 def kkt_residual(V, W, H, epsilon: float = 0.0) -> float:
@@ -227,13 +201,13 @@ def kkt_residual(V, W, H, epsilon: float = 0.0) -> float:
     from the bound. The result is 0 iff every entry satisfies both
     conditions exactly; non-differentiable points return +inf.
     """
+    V, W, H = _conforming(V, W, H)
     try:
-        gw = grad_W(V, W, H)
-        gh = grad_H(V, W, H)
+        ratio = support_ratio(V, W @ H)
     except NonDifferentiableError:
         return math.inf
-    W = as_matrix_array(W)
-    H = as_matrix_array(H)
+    gw = _grad_H(ratio.T, H.T).T
+    gh = _grad_H(ratio, W)
 
     def worst(x, g):
         return max(float(np.max(-g)), float(np.max(np.abs((x - epsilon) * g))))
@@ -256,19 +230,21 @@ def perturbation_bound(V, rank: int, epsilon: float) -> float:
 class KLObjective:
     """Precomputed pieces of the objective for one data matrix.
 
-    Lets the solver driver evaluate the objective from a cached product in
-    O(mn) and convert it to a relative error without recomputing masks or
-    the normalizer at every sweep.
+    The one evaluation of the objective: ``run()`` calls it on its cached
+    product at every sweep without recomputing masks or the normalizer,
+    and :func:`kl_divergence` and :func:`relative_error` call it on a fresh
+    product.
     """
 
     def __init__(self, V):
         V = as_matrix_array(V)
-        self.V = V
         self.mask = V > 0
         self._v = V[self.mask]
-        self._const = float(self._v @ np.log(self._v)) - float(self._v.sum()) if self._v.size else 0.0
-        self.normalizer = kl_normalizer(V)
-        self.degenerate_normalizer = abs(self.normalizer) < NORMALIZER_FLOOR
+        total = float(self._v.sum())
+        self._const = float(self._v @ np.log(self._v)) - total
+        means = np.broadcast_to(V.mean(axis=1, keepdims=True), V.shape)[self.mask]
+        self.normalizer = float(self._v @ np.log(self._v / means))
+        self.degenerate_normalizer = abs(self.normalizer) <= NORMALIZER_FLOOR * total
 
     def of_product(self, WH: np.ndarray) -> ExtendedObjective:
         wh = WH[self.mask]

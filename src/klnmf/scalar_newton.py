@@ -11,7 +11,8 @@ guarantee.
 Entries sharing a factor index k form a slice whose updates touch disjoint
 columns (rows) of the cached product, so the vectorized slice update below
 is exactly the sequential per-scalar loop in slice order; no other
-parallelism is applied.
+parallelism is applied. A slice of W is a slice of H run on the transposed
+problem.
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ def sn_update_scalar(x, f1, f2, c, epsilon) -> float:
     return float(x + d / (1.0 + lam))
 
 
-def _slice_ratios(V, WH, mask, floor):
+def _slice_ratios(V, state, mask, floor):
     """V/WH and V/WH^2 on the support of V; zero elsewhere.
 
     With ``floor`` set the cached product is clamped in place first and the
@@ -78,12 +79,13 @@ def _slice_ratios(V, WH, mask, floor):
     (which would poison the reductions with 0 * inf); without a floor a
     vanishing product on the support raises.
     """
+    WH = state.WH
     if floor is not None:
         np.maximum(WH, floor, out=WH)
     else:
         bad = mask & (WH <= 0)
         if np.any(bad):
-            i, j = np.argwhere(bad)[0]
+            i, j = np.argwhere(state.oriented(bad))[0]
             raise NonDifferentiableError(
                 f"cached product is 0 at ({i}, {j}) where the data is positive"
             )
@@ -112,71 +114,39 @@ def _newton_targets(x, f1, f2, epsilon):
     return s
 
 
-def _update_H_slice(V, mask, W, H, WH, k, col_sum_k, c_cols, epsilon, damped, floor):
-    wk = W[:, k]
-    ratio, ratio2 = _slice_ratios(V, WH, mask, floor)
-    f1 = col_sum_k - wk @ ratio
+def _update_slice(V, mask, state, k, c, epsilon, damped, floor):
+    """Newton update of row k of state.H, with the product adjusted in place.
+
+    ``V``, ``mask`` and the column curvature constants ``c`` are in the
+    state's orientation.
+    """
+    wk = state.W[:, k]
+    ratio, ratio2 = _slice_ratios(V, state, mask, floor)
+    f1 = state.col_sums_W[k] - wk @ ratio
     f2 = (wk * wk) @ ratio2
-    x = H[k, :].copy()
+    x = state.H[k, :].copy()
     s = _newton_targets(x, f1, f2, epsilon)
     if damped:
-        lam = c_cols * np.sqrt(f2) * np.abs(s - x)
+        lam = c * np.sqrt(f2) * np.abs(s - x)
         full = (f1 <= 0) | (lam <= FULL_STEP_LAMBDA)
         xnew = np.where(full, s, x + (s - x) / (1.0 + lam))
     else:
         xnew = s
-    H[k, :] = xnew
-    WH += np.outer(wk, xnew - x)
-
-
-def _update_W_slice(V, mask, W, H, WH, k, row_sum_k, c_rows, epsilon, damped, floor):
-    hk = H[k, :]
-    ratio, ratio2 = _slice_ratios(V, WH, mask, floor)
-    f1 = row_sum_k - ratio @ hk
-    f2 = ratio2 @ (hk * hk)
-    x = W[:, k].copy()
-    s = _newton_targets(x, f1, f2, epsilon)
-    if damped:
-        lam = c_rows * np.sqrt(f2) * np.abs(s - x)
-        full = (f1 <= 0) | (lam <= FULL_STEP_LAMBDA)
-        xnew = np.where(full, s, x + (s - x) / (1.0 + lam))
-    else:
-        xnew = s
-    W[:, k] = xnew
-    WH += np.outer(xnew - x, hk)
+    state.H[k, :] = xnew
+    # Built in the product's layout (transposed on a W half) so the add streams.
+    state.WH += np.outer(wk, xnew - x, out=np.empty_like(state.WH))
 
 
 def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped, floor):
-    c_rows, c_cols = (
-        constants if constants is not None else self_concordant_constants(V)
-    )
+    c_rows, c_cols = self_concordant_constants(V) if constants is None else constants
     mask = V > 0
-    r = state.W.shape[1]
-
-    def pass_H():
-        for k in range(r):
+    for half in state.halves(h_first):
+        V_half, mask_half = half.oriented(V), half.oriented(mask)
+        c = c_rows if half.transposed else c_cols
+        for k in range(half.H.shape[0]):
             for _ in range(inner_repeats):
-                _update_H_slice(
-                    V, mask, state.W, state.H, state.WH, k,
-                    state.col_sums_W[k], c_cols, epsilon, damped, floor,
-                )
-        state.row_sums_H = state.H.sum(axis=1)
-
-    def pass_W():
-        for k in range(r):
-            for _ in range(inner_repeats):
-                _update_W_slice(
-                    V, mask, state.W, state.H, state.WH, k,
-                    state.row_sums_H[k], c_rows, epsilon, damped, floor,
-                )
-        state.col_sums_W = state.W.sum(axis=0)
-
-    if h_first:
-        pass_H()
-        pass_W()
-    else:
-        pass_W()
-        pass_H()
+                _update_slice(V_half, mask_half, half, k, c, epsilon, damped, floor)
+        half.H.sum(axis=1, out=half.row_sums_H)
     return state
 
 

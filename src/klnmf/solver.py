@@ -1,4 +1,4 @@
-"""Solver configuration, cached iteration state, and the outer driver loop.
+"""Solver configuration, the step of each kind, and the outer loop.
 
 Five solver kinds sit behind one interface: "mu" (multiplicative updates),
 "bmd" (block mirror descent), "sn" (safeguarded scalar Newton), "snmu"
@@ -20,6 +20,7 @@ from .mirror import bmd_step
 from .multiplicative import mu_step
 from .objective import KLObjective, kkt_residual
 from .scalar_newton import ccd_sweep, self_concordant_constants, sn_sweep
+from .state import SolverState
 from .traces import RunTrace, TraceSample
 
 SOLVER_KINDS = ("mu", "bmd", "sn", "snmu", "ccd")
@@ -29,16 +30,10 @@ MONOTONE_KINDS = ("mu", "bmd", "sn", "snmu")
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
-# Factor clamps used when the caller does not pin epsilon: machine precision
-# for the multiplicative/mirror solvers, 0 for the Newton-based ones (their
-# step rule clamps at the bound itself).
-_DEFAULT_EPSILON = {
-    "mu": MACHINE_EPS,
-    "bmd": MACHINE_EPS,
-    "sn": 0.0,
-    "snmu": 0.0,
-    "ccd": 0.0,
-}
+#: Kinds built on Newton sweeps. run() resynchronizes their incrementally
+#: adjusted product before each outer sweep. Their step rule clamps at the
+#: bound itself, so their default epsilon is 0, not machine precision.
+NEWTON_KINDS = ("sn", "snmu", "ccd")
 
 
 @dataclass(frozen=True)
@@ -61,8 +56,6 @@ class SolverConfig:
     inner_repeats: int = 3
     snmu_cycle: tuple[int, int] = (10, 1)
     record_every: int = 1
-    h_first: bool = True
-    snmu_exact_scaling: bool = False
 
     def __post_init__(self):
         if self.kind not in SOLVER_KINDS:
@@ -91,89 +84,50 @@ class SolverConfig:
     def resolved_epsilon(self, instance_epsilon: float = 0.0) -> float:
         if self.epsilon is not None:
             return self.epsilon
-        return max(float(instance_epsilon), _DEFAULT_EPSILON[self.kind])
-
-
-@dataclass
-class SolverState:
-    """Factors plus the caches every sweep maintains.
-
-    The product cache is resynchronized from scratch once per outer sweep
-    (the Newton sweeps adjust it incrementally in between), which keeps
-    accumulated drift bounded.
-    """
-
-    W: np.ndarray
-    H: np.ndarray
-    WH: np.ndarray
-    col_sums_W: np.ndarray
-    row_sums_H: np.ndarray
-    outer_iter: int = 0
-    elapsed: float = 0.0
-
-    @classmethod
-    def from_factors(cls, W, H) -> "SolverState":
-        W = np.array(W, dtype=np.float64)
-        H = np.array(H, dtype=np.float64)
-        return cls(W=W, H=H, WH=W @ H,
-                   col_sums_W=W.sum(axis=0), row_sums_H=H.sum(axis=1))
-
-    def resync(self) -> None:
-        np.matmul(self.W, self.H, out=self.WH)
-        self.col_sums_W = self.W.sum(axis=0)
-        self.row_sums_H = self.H.sum(axis=1)
+        default = 0.0 if self.kind in NEWTON_KINDS else MACHINE_EPS
+        return max(float(instance_epsilon), default)
 
 
 def snmu_step(V, state, epsilon, cycle=(10, 1), inner_repeats: int = 3,
-              constants=None, h_first: bool = True, exact_scaling: bool = False):
+              constants=None, h_first: bool = True, deadline: float = math.inf):
     """Several safeguarded Newton sweeps followed by multiplicative steps.
 
     The multiplicative tail restores the scaled property: when its clamp is
     zero, the product leaves the tail matching the data's column and row
-    sums. Both components are monotone, so the composite step is too.
-    ``exact_scaling`` forces the tail's clamp to zero even when the Newton
-    sweeps run with a positive bound.
+    sums. Both components are monotone, so the composite step is too. The
+    Newton sweeps stop early once ``time.perf_counter()`` passes
+    ``deadline``; the tail still runs.
     """
     for _ in range(cycle[0]):
         sn_sweep(V, state, epsilon, inner_repeats=inner_repeats,
                  constants=constants, h_first=h_first)
-    mu_epsilon = 0.0 if exact_scaling else epsilon
+        if time.perf_counter() >= deadline:
+            break
     for _ in range(cycle[1]):
         state.resync()
-        mu_step(V, state, mu_epsilon, h_first=h_first)
+        mu_step(V, state, epsilon, h_first=h_first)
     return state
 
 
-def _make_stepper(config: SolverConfig, V: np.ndarray, epsilon: float):
-    kind = config.kind
-    if kind == "mu":
-        def stepper(state):
-            mu_step(V, state, epsilon, h_first=config.h_first)
-    elif kind == "bmd":
-        def stepper(state):
-            bmd_step(V, state, epsilon, h_first=config.h_first)
-    elif kind == "sn":
-        constants = self_concordant_constants(V)
+def _make_stepper(config: SolverConfig, V: np.ndarray, epsilon: float,
+                  deadline: float):
+    """One outer sweep of ``config.kind`` as a function of the state.
 
-        def stepper(state):
-            state.resync()
-            sn_sweep(V, state, epsilon, inner_repeats=config.inner_repeats,
-                     constants=constants, h_first=config.h_first)
-    elif kind == "ccd":
-        def stepper(state):
-            state.resync()
-            ccd_sweep(V, state, epsilon, inner_repeats=config.inner_repeats,
-                      h_first=config.h_first)
-    else:
-        constants = self_concordant_constants(V)
-
-        def stepper(state):
-            state.resync()
-            snmu_step(V, state, epsilon, cycle=config.snmu_cycle,
-                      inner_repeats=config.inner_repeats, constants=constants,
-                      h_first=config.h_first,
-                      exact_scaling=config.snmu_exact_scaling)
-    return stepper
+    The step functions are looked up in this module each time the stepper
+    runs, so that patching ``klnmf.solver.sn_sweep`` and the like reaches it.
+    """
+    newton = {"inner_repeats": config.inner_repeats}
+    if config.kind in NEWTON_KINDS:
+        newton["constants"] = self_concordant_constants(V)
+    steps = {
+        "mu": lambda state: mu_step(V, state, epsilon),
+        "bmd": lambda state: bmd_step(V, state, epsilon),
+        "sn": lambda state: sn_sweep(V, state, epsilon, **newton),
+        "ccd": lambda state: ccd_sweep(V, state, epsilon, **newton),
+        "snmu": lambda state: snmu_step(V, state, epsilon, cycle=config.snmu_cycle,
+                                        deadline=deadline, **newton),
+    }
+    return steps[config.kind]
 
 
 def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
@@ -231,15 +185,15 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
     if config.time_budget == 0 or config.max_outer_iters == 0:
         return finish()
 
-    stepper = _make_stepper(config, V, epsilon)
     start = time.perf_counter()
+    stepper = _make_stepper(config, V, epsilon, start + config.time_budget)
     last_recorded = 0
     prev_value = obj.value
     for it in range(1, config.max_outer_iters + 1):
+        if config.kind in NEWTON_KINDS:
+            state.resync()
         stepper(state)
         elapsed = time.perf_counter() - start
-        state.outer_iter = it
-        state.elapsed = elapsed
         obj = objective.of_product(state.WH)
         if obj < best_obj:
             best_obj = obj
@@ -260,7 +214,7 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
             if residual <= config.kkt_tol:
                 break
         prev_value = obj.as_float()
-    if last_recorded != state.outer_iter:
+    if last_recorded != it:
         elapsed = time.perf_counter() - start
         stamp = max(elapsed, samples[-1].elapsed_s + 1e-9)
         samples.append(TraceSample(stamp, obj, objective.relative(obj)))

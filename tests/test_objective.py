@@ -223,3 +223,21 @@ class TestPerturbationBound:
         got = perturbation_bound(V, 1, 0.5)
         assert got == pytest.approx((5 * 2 + 6 * 0.5) * 0.5)
         assert got == pytest.approx(6.5)
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_relative_error_ignores_data_scale(self, rng, scale):
+        V = rng.poisson(3.0, size=(40, 30)).astype(float)
+        W = rng.uniform(0.2, 1.0, size=(40, 4))
+        H = rng.uniform(0.2, 1.0, size=(4, 30))
+        want = relative_error(V, W, H)
+        got = relative_error(scale * V, scale * W, H)
+        assert not want.degenerate and not got.degenerate
+        assert got.value == pytest.approx(want.value, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_uniform_data_degenerates_at_any_scale(self, scale):
+        V = np.full((3, 4), 2.0 * scale)
+        rel = relative_error(V, np.full((3, 1), scale), np.ones((1, 4)))
+        assert rel.degenerate

@@ -180,3 +180,46 @@ class TestSnmuStep:
             snmu_step(V, state, epsilon=0.0)
             after = kl_divergence(V, state.W, state.H).value
             assert after <= before * (1 + 1e-12)
+
+
+class TestStepDispatch:
+    STEP_NAMES = {"mu": "mu_step", "bmd": "bmd_step", "sn": "sn_sweep",
+                  "snmu": "snmu_step", "ccd": "ccd_sweep"}
+
+    @pytest.mark.parametrize("kind", sorted(STEP_NAMES))
+    def test_run_calls_the_step_of_its_kind(self, rng, monkeypatch, kind):
+        import klnmf.solver as solver_mod
+        name = self.STEP_NAMES[kind]
+        real = getattr(solver_mod, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, name, counting)
+        instance, init = small_instance(rng)
+        run(instance, init, SolverConfig(kind=kind, max_outer_iters=2))
+        assert len(calls) == 2
+
+    def test_snmu_stops_newton_sweeps_at_deadline(self, rng, monkeypatch):
+        import klnmf.solver as solver_mod
+        calls = {"sn": 0, "mu": 0}
+        real_sn = solver_mod.sn_sweep
+        real_mu = solver_mod.mu_step
+
+        def count_sn(*args, **kwargs):
+            calls["sn"] += 1
+            return real_sn(*args, **kwargs)
+
+        def count_mu(*args, **kwargs):
+            calls["mu"] += 1
+            return real_mu(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "sn_sweep", count_sn)
+        monkeypatch.setattr(solver_mod, "mu_step", count_mu)
+        instance, init = small_instance(rng)
+        _, trace = run(instance, init,
+                       SolverConfig(kind="snmu", time_budget=1e-6))
+        assert calls == {"sn": 1, "mu": 1}
+        assert len(trace.samples) == 2
