@@ -18,10 +18,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .benchstats import (RunResult, excess_error_curves, performance_profile,
-                         ranking_vectors, summary_stats)
+from .benchstats import (RunResult, excess_error_curves, median_curve,
+                         performance_profile, ranking_vectors, summary_stats)
 from .errors import MatrixFileError
-from .matrices import Factorization, NonnegMatrix, ProblemInstance
+from .matrices import ProblemInstance
 from .matrixio import load_matrix
 from .objective import KLObjective
 from .solver import SolverConfig, run
@@ -98,7 +98,7 @@ class BenchPlan:
                     spec = dict(entry)
                     spec.setdefault("seed", _derived_seed(seed, 0, idx))
                     matrices.append(SyntheticSpec.from_dict(spec))
-            solvers = tuple(_config_from_dict(e) for e in d["solvers"])
+            solvers = tuple(SolverConfig(**e) for e in d["solvers"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed plan: {exc}") from exc
         return cls(matrices=tuple(matrices), inits_per_matrix=inits,
@@ -124,28 +124,22 @@ def _config_to_dict(config: SolverConfig) -> dict:
     return d
 
 
-def _config_from_dict(d: dict) -> SolverConfig:
-    kwargs = dict(d)
-    if "snmu_cycle" in kwargs:
-        kwargs["snmu_cycle"] = tuple(kwargs["snmu_cycle"])
-    return SolverConfig(**kwargs)
-
-
 def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _plan_matrices(plan: BenchPlan):
-    """Materialize (matrix_id, class_label, data) for every plan entry."""
+def _plan_instances(plan: BenchPlan):
+    """Materialize (matrix_id, class_label, instance) for every plan entry."""
     out = []
     for idx, entry in enumerate(plan.matrices):
         matrix_id = f"m{idx:03d}"
         if isinstance(entry, FileMatrix):
             if not os.path.exists(entry.path):
                 raise MatrixFileError(f"matrix file not found: {entry.path}")
-            out.append((matrix_id, entry.label, load_matrix(entry.path)))
+            V, label = load_matrix(entry.path), entry.label
         else:
-            out.append((matrix_id, entry.class_label, generate(entry)))
+            V, label = generate(entry), entry.class_label
+        out.append((matrix_id, label, ProblemInstance(V=V, rank=plan.rank)))
     return out
 
 
@@ -156,31 +150,26 @@ def _run_task(args):
     trace at the initial point, so a diverging solver stays in the tables
     instead of aborting the batch.
     """
-    (V_values, W0, H0, config, rank, run_id, matrix_id, init_id, label) = args
-    V = NonnegMatrix(V_values)
-    instance = ProblemInstance(V=V, rank=rank)
-    init = Factorization(NonnegMatrix(W0), NonnegMatrix(H0))
+    instance, init, config, run_id, matrix_id, init_id, label = args
+    failure = None
     try:
         _, trace = run(instance, init, config, run_id=run_id,
                        matrix_id=matrix_id, init_id=init_id)
-        result = RunResult(
-            run_id=run_id, solver=config.kind, matrix_id=matrix_id,
-            init_id=init_id, class_label=label,
-            final_error=trace.best_error, time_to_final=trace.time_to_best)
-        return trace, result
+        final_error, time_to_final = trace.best_error, trace.time_to_best
     except Exception as exc:  # noqa: BLE001 - failures are data here
-        objective = KLObjective(V.values)
-        obj = objective.of_product(W0 @ H0)
+        objective = KLObjective(instance.V)
+        obj = objective.of_product(init.product())
         trace = RunTrace(
             run_id=run_id, solver=config.kind, matrix_id=matrix_id,
             init_id=init_id,
             samples=(TraceSample(0.0, obj, objective.relative(obj)),))
-        result = RunResult(
-            run_id=run_id, solver=config.kind, matrix_id=matrix_id,
-            init_id=init_id, class_label=label,
-            final_error=math.inf, time_to_final=0.0,
-            failure=f"{type(exc).__name__}: {exc}")
-        return trace, result
+        final_error, time_to_final = math.inf, 0.0
+        failure = f"{type(exc).__name__}: {exc}"
+    result = RunResult(
+        run_id=run_id, solver=config.kind, matrix_id=matrix_id,
+        init_id=init_id, class_label=label, final_error=final_error,
+        time_to_final=time_to_final, failure=failure)
+    return trace, result
 
 
 @dataclass
@@ -190,25 +179,26 @@ class BenchOutcome:
     report: dict
 
 
-def execute(plan: BenchPlan, workers: int = 1, fair_timing: bool = False,
+def execute(plan: BenchPlan, workers: int = 1,
             rho_max: float = 1.0) -> BenchOutcome:
-    """Run the whole plan and compute its statistics report."""
-    if fair_timing:
-        workers = min(workers, _physical_cores())
-    matrices = _plan_matrices(plan)
+    """Run the whole plan and compute its statistics report.
+
+    The runs of one (matrix, init) group share the plan's read-only
+    instance and init; ``run`` copies the init before it updates it.
+    """
+    configs = [replace(c, time_budget=plan.time_budget) for c in plan.solvers]
     tasks = []
-    for mat_idx, (matrix_id, label, V) in enumerate(matrices):
-        m, n = V.shape
+    for mat_idx, (matrix_id, label, instance) in enumerate(_plan_instances(plan)):
+        m, n = instance.V.shape
         for init_idx in range(plan.inits_per_matrix):
             init_id = f"i{init_idx:02d}"
             init_seed = _derived_seed(plan.seed, 1, mat_idx, init_idx)
-            init = init_random_scaled(m, n, plan.rank, V.values, init_seed)
-            for config in plan.solvers:
-                config = replace(config, time_budget=plan.time_budget)
+            init = init_random_scaled(m, n, plan.rank, instance.V.values,
+                                      init_seed)
+            for config in configs:
                 run_id = f"{matrix_id}-{init_id}-{config.kind}"
-                tasks.append((V.values, init.W.values.copy(),
-                              init.H.values.copy(), config, plan.rank,
-                              run_id, matrix_id, init_id, label))
+                tasks.append((instance, init, config, run_id, matrix_id,
+                              init_id, label))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_task, tasks))
@@ -218,15 +208,6 @@ def execute(plan: BenchPlan, workers: int = 1, fair_timing: bool = False,
     results = [result for _, result in outcomes]
     report = build_report(results, rho_max=rho_max)
     return BenchOutcome(traces=traces, results=results, report=report)
-
-
-def _physical_cores() -> int:
-    try:
-        import psutil
-        cores = psutil.cpu_count(logical=False)
-    except ImportError:  # pragma: no cover - psutil is a declared dependency
-        cores = None
-    return cores or os.cpu_count() or 1
 
 
 def build_report(results, rho_max: float = 1.0, rho_points: int = 101) -> dict:
@@ -264,6 +245,14 @@ def _json_safe(obj):
     return obj
 
 
+def write_json(path, payload) -> None:
+    """Write ``payload`` as sorted, indented strict JSON: inf becomes the
+    string "inf" and NaN becomes null."""
+    with open(path, "w") as fh:
+        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _json_restore_floats(value):
     if value is None:
         return math.nan
@@ -280,12 +269,8 @@ def save_archive(outcome: BenchOutcome, out_dir, plan: BenchPlan | None = None) 
     runs_payload = {"runs": [r.to_dict() for r in outcome.results]}
     if plan is not None:
         runs_payload["plan"] = plan.to_dict()
-    with open(os.path.join(out_dir, RUNS_FILE), "w") as fh:
-        json.dump(_json_safe(runs_payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, REPORT_FILE), "w") as fh:
-        json.dump(_json_safe(outcome.report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, RUNS_FILE), runs_payload)
+    write_json(os.path.join(out_dir, REPORT_FILE), outcome.report)
 
 
 def load_archive(archive_dir):
@@ -312,8 +297,6 @@ def etcurve_rows(traces, running_best: bool = False, median_grid: int = 0):
     With ``median_grid`` > 0, per-solver median curves on a uniform grid are
     appended with run_id "median:<solver>".
     """
-    from .benchstats import median_curve
-
     by_matrix: dict[str, list] = {}
     for trace in traces:
         by_matrix.setdefault(trace.matrix_id, []).append(trace)

@@ -137,10 +137,8 @@ def performance_profile(results, rho_grid) -> dict[str, np.ndarray]:
             excesses.setdefault(res.solver, []).append(excess)
     profile = {}
     for solver, values in sorted(excesses.items()):
-        arr = np.array(values)
-        profile[solver] = np.array([
-            float(np.count_nonzero(arr <= rho)) / arr.size for rho in rho_grid
-        ])
+        within = np.array(values)[:, None] <= rho_grid
+        profile[solver] = np.count_nonzero(within, axis=0) / len(values)
     return profile
 
 

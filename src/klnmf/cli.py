@@ -3,14 +3,14 @@ plans, and regenerate reports from stored traces.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure.
 Seeds are always printed so every invocation can be reproduced from its
-manifest line. The KLNMF_THREADS environment variable caps the bench worker
-count; the --workers flag takes precedence.
+manifest line. The bench worker count is --workers if given, else the
+KLNMF_THREADS environment variable, else 1; --fair-timing caps it at the
+physical core count.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -196,7 +196,7 @@ def cmd_solve(ns) -> int:
     print(f"objective={_fmt(final.objective.as_float())} "
           f"rel_error={_fmt(trace.best_error)} "
           f"kkt_residual={_fmt(residual)} wall_s={wall:.3f} "
-          f"sweeps={len(trace.samples) - 1}")
+          f"sweeps={trace.samples[-1].sweep}")
     if ns.out_factors:
         save_matrix(pair.W, f"{ns.out_factors}.W.mtx")
         save_matrix(pair.H, f"{ns.out_factors}.H.mtx")
@@ -206,16 +206,27 @@ def cmd_solve(ns) -> int:
     return EXIT_OK
 
 
+def _physical_cores() -> int:
+    try:
+        import psutil
+        cores = psutil.cpu_count(logical=False)
+    except ImportError:
+        cores = None
+    return cores or os.cpu_count() or 1
+
+
 def _worker_count(ns) -> int:
-    if ns.workers is not None:
-        return max(1, ns.workers)
-    env = os.environ.get("KLNMF_THREADS")
-    if env:
+    workers = ns.workers
+    if workers is None:
+        env = os.environ.get("KLNMF_THREADS") or "1"
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise _UsageError(f"KLNMF_THREADS must be an integer, got {env!r}")
-    return 1
+    workers = max(1, workers)
+    if ns.fair_timing:
+        workers = min(workers, _physical_cores())
+    return workers
 
 
 def cmd_bench(ns) -> int:
@@ -229,8 +240,7 @@ def cmd_bench(ns) -> int:
         return EXIT_DATA
     workers = _worker_count(ns)
     try:
-        outcome = benchmark.execute(plan, workers=workers,
-                                    fair_timing=ns.fair_timing)
+        outcome = benchmark.execute(plan, workers=workers)
     except MatrixFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -238,14 +248,12 @@ def cmd_bench(ns) -> int:
     print(f"bench plan={ns.plan} seed={plan.seed} workers={workers} "
           f"runs={len(outcome.results)} out={ns.out_dir}")
     print(f"{'class':24s} {'solver':8s} {'mean':>12s} {'std':>12s} {'1st':>5s}")
-    stats = summary_stats(outcome.results)
-    for label in stats:
-        class_results = [r for r in outcome.results if r.class_label == label]
-        firsts = {s: v[0] for s, v in ranking_vectors(class_results).items()}
-        for solver, (mean, std) in stats[label].items():
+    for label, per_solver in outcome.report.items():
+        for solver, node in per_solver.items():
+            std = node["std"]
             std_text = "n/a" if math.isnan(std) else f"{std:12.4e}"
-            print(f"{label:24s} {solver:8s} {mean:12.4e} {std_text:>12s} "
-                  f"{firsts[solver]:5d}")
+            print(f"{label:24s} {solver:8s} {node['mean']:12.4e} "
+                  f"{std_text:>12s} {node['ranking'][0]:5d}")
     return EXIT_OK
 
 
@@ -274,18 +282,13 @@ def cmd_report(ns) -> int:
                 for rho, perf in zip(rho_grid, profile[solver]):
                     writer.writerow((solver, _fmt(rho), _fmt(perf)))
     elif ns.what == "ranking":
-        payload = benchmark._json_safe(ranking_vectors(results))
-        with open(ns.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        benchmark.write_json(ns.out, ranking_vectors(results))
     else:
         stats = summary_stats(results)
-        payload = {label: {solver: {"mean": mean, "std": std}
-                           for solver, (mean, std) in per_solver.items()}
-                   for label, per_solver in stats.items()}
-        with open(ns.out, "w") as fh:
-            json.dump(benchmark._json_safe(payload), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        benchmark.write_json(ns.out, {
+            label: {solver: {"mean": mean, "std": std}
+                    for solver, (mean, std) in per_solver.items()}
+            for label, per_solver in stats.items()})
     print(f"report what={ns.what} archive={ns.archive} out={ns.out}")
     return EXIT_OK
 

@@ -55,18 +55,18 @@ class NonnegMatrix:
         return f"NonnegMatrix(shape={self.rows}x{self.cols})"
 
 
-def as_matrix_array(x, *, validate: bool = True) -> np.ndarray:
+def as_matrix_array(x) -> np.ndarray:
     """Return a float64 2-D array for ``x`` (NonnegMatrix or array-like).
 
     NonnegMatrix inputs pass through unchecked; raw arrays are checked for
-    NaN/inf unless ``validate`` is off.
+    NaN/inf.
     """
     if isinstance(x, NonnegMatrix):
         return x.values
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if validate and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite (no NaN/inf)")
     return arr
 

@@ -201,7 +201,7 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
             best_H[...] = state.H
         if it % config.record_every == 0:
             stamp = max(elapsed, samples[-1].elapsed_s + 1e-9)
-            samples.append(TraceSample(stamp, obj, objective.relative(obj)))
+            samples.append(TraceSample(stamp, obj, objective.relative(obj), it))
             last_recorded = it
         if elapsed >= config.time_budget:
             break
@@ -217,5 +217,5 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
     if last_recorded != it:
         elapsed = time.perf_counter() - start
         stamp = max(elapsed, samples[-1].elapsed_s + 1e-9)
-        samples.append(TraceSample(stamp, obj, objective.relative(obj)))
+        samples.append(TraceSample(stamp, obj, objective.relative(obj), it))
     return finish()

@@ -121,21 +121,17 @@ def init_random_scaled(m: int, n: int, r: int, V, seed: int) -> Factorization:
     """Uniform(0,1) factors rescaled so the product's sum matches the data's.
 
     Both factors are multiplied by the square root of sum(V)/sum(WH), which
-    makes the pair scaled by construction. The astronomically unlikely
-    zero-sum draw is retried with a perturbed seed.
+    makes the pair scaled by construction.
     """
     arr = np.asarray(V, dtype=np.float64)
     total_v = float(arr.sum())
     if total_v <= 0:
         raise DegenerateInputError("data matrix sums to zero; cannot scale an init")
-    for attempt in range(16):
-        rng = _rng(seed + attempt, _STREAM_INIT)
-        W = rng.random((m, r))
-        H = rng.random((r, n))
-        total_wh = float(W.sum(axis=0) @ H.sum(axis=1))
-        if total_wh > 0:
-            break
-    else:  # pragma: no cover - probability zero
-        raise DegenerateInputError("could not draw a nonzero initialization")
+    rng = _rng(seed, _STREAM_INIT)
+    W = rng.random((m, r))
+    H = rng.random((r, n))
+    total_wh = float(W.sum(axis=0) @ H.sum(axis=1))
+    if total_wh <= 0:  # pragma: no cover - probability zero
+        raise DegenerateInputError("drew an initialization that sums to zero")
     root = math.sqrt(total_v / total_wh)
     return Factorization(NonnegMatrix(W * root), NonnegMatrix(H * root))

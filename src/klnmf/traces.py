@@ -10,7 +10,7 @@ from .objective import ExtendedObjective
 #: Column order of the trace CSV schema. The objective column holds the
 #: literal "inf" for the infinite state.
 TRACE_FIELDS = ("run_id", "solver", "matrix_id", "init_id",
-                "elapsed_s", "objective", "rel_error")
+                "elapsed_s", "objective", "rel_error", "sweep")
 
 
 @dataclass(frozen=True)
@@ -18,6 +18,7 @@ class TraceSample:
     elapsed_s: float
     objective: ExtendedObjective
     rel_error: float
+    sweep: int = 0  # sweeps completed when recorded; 0 at the initial point
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,14 +64,13 @@ def write_traces(path, traces) -> None:
                 writer.writerow([
                     trace.run_id, trace.solver, trace.matrix_id, trace.init_id,
                     repr(s.elapsed_s), repr(s.objective.as_float()),
-                    repr(s.rel_error),
+                    repr(s.rel_error), s.sweep,
                 ])
 
 
 def read_traces(path) -> list[RunTrace]:
     """Read a trace CSV back into RunTrace objects (rows grouped by run_id)."""
-    groups: dict[str, dict] = {}
-    order: list[str] = []
+    groups: dict[str, tuple] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != TRACE_FIELDS:
@@ -78,20 +78,16 @@ def read_traces(path) -> list[RunTrace]:
         for row in reader:
             run_id = row["run_id"]
             if run_id not in groups:
-                groups[run_id] = {
-                    "solver": row["solver"],
-                    "matrix_id": row["matrix_id"],
-                    "init_id": row["init_id"],
-                    "samples": [],
-                }
-                order.append(run_id)
+                groups[run_id] = (row["solver"], row["matrix_id"],
+                                  row["init_id"], [])
             obj = float(row["objective"])
             objective = (ExtendedObjective.infinite() if math.isinf(obj)
                          else ExtendedObjective.finite(obj))
-            groups[run_id]["samples"].append(TraceSample(
-                float(row["elapsed_s"]), objective, float(row["rel_error"])))
+            groups[run_id][3].append(TraceSample(
+                float(row["elapsed_s"]), objective, float(row["rel_error"]),
+                int(row["sweep"])))
     return [
-        RunTrace(run_id=rid, solver=g["solver"], matrix_id=g["matrix_id"],
-                 init_id=g["init_id"], samples=tuple(g["samples"]))
-        for rid, g in ((rid, groups[rid]) for rid in order)
+        RunTrace(run_id=rid, solver=solver, matrix_id=matrix_id,
+                 init_id=init_id, samples=tuple(samples))
+        for rid, (solver, matrix_id, init_id, samples) in groups.items()
     ]

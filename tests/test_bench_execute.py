@@ -127,6 +127,20 @@ class TestArchive:
         for a, b in zip(results, outcome.results):
             assert a.final_error == b.final_error
 
+    def test_round_trip_keeps_sweep_index(self, tmp_path):
+        plan = BenchPlan(
+            matrices=(SyntheticSpec(kind="low-rank", m=6, n=6, r_true=2,
+                                    seed=7),),
+            inits_per_matrix=1,
+            solvers=(SolverConfig(kind="mu", max_outer_iters=10,
+                                  record_every=4),),
+            time_budget=math.inf, rank=2, seed=3)
+        outcome = execute(plan)
+        save_archive(outcome, tmp_path / "arch", plan=plan)
+        traces, _ = load_archive(tmp_path / "arch")
+        assert [s.sweep for s in outcome.traces[0].samples] == [0, 4, 8, 10]
+        assert [s.sweep for s in traces[0].samples] == [0, 4, 8, 10]
+
     def test_report_json_is_strict_and_deterministic(self, tmp_path):
         plan = tiny_plan(seed=12, iters=10)
         for name in ("one", "two"):

@@ -82,6 +82,14 @@ class TestSolve:
         assert W.shape == (8, 2)
         assert (tmp_path / "trace.csv").exists()
 
+    def test_sweeps_counts_sweeps_not_recorded_samples(self, capsys,
+                                                       matrix_file):
+        code, stdout, _ = run_cli(
+            capsys, "solve", "--matrix", str(matrix_file), "--rank", "2",
+            "--solver", "mu", "--max-iters", "250", "--record-every", "100")
+        assert code == 0
+        assert "sweeps=250" in stdout.split()
+
     def test_mu_epsilon_zero_positive_init_no_warning(self, capsys,
                                                       matrix_file, recwarn):
         code, _, _ = run_cli(
@@ -232,3 +240,38 @@ class TestBenchAndReport:
             "--out-dir", str(tmp_path / "env"))
         assert code == 0
         assert "workers=2" in stdout
+
+    @pytest.fixture
+    def one_core(self, monkeypatch):
+        """One physical core, and an execute that records the worker count
+        it gets but runs inline."""
+        import klnmf.cli as cli_mod
+
+        real_execute = cli_mod.benchmark.execute
+        seen = []
+
+        def inline_execute(plan, workers=1, **kwargs):
+            seen.append(workers)
+            return real_execute(plan, workers=1, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "_physical_cores", lambda: 1)
+        monkeypatch.setattr(cli_mod.benchmark, "execute", inline_execute)
+        return seen
+
+    def test_fair_timing_caps_printed_and_used_workers(self, tmp_path, capsys,
+                                                       plan_file, one_core):
+        code, stdout, _ = run_cli(
+            capsys, "bench", "--plan", str(plan_file), "--workers", "4",
+            "--fair-timing", "--out-dir", str(tmp_path / "fair"))
+        assert code == 0
+        assert "workers=1" in stdout.split()
+        assert one_core == [1]
+
+    def test_workers_flag_uncapped_without_fair_timing(self, tmp_path, capsys,
+                                                       plan_file, one_core):
+        code, stdout, _ = run_cli(
+            capsys, "bench", "--plan", str(plan_file), "--workers", "4",
+            "--out-dir", str(tmp_path / "free"))
+        assert code == 0
+        assert "workers=4" in stdout.split()
+        assert one_core == [4]
