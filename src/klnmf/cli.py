@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -207,12 +208,16 @@ def cmd_solve(ns) -> int:
 
 
 def _physical_cores() -> int:
-    try:
-        import psutil
-        cores = psutil.cpu_count(logical=False)
-    except ImportError:
-        cores = None
-    return cores or os.cpu_count() or 1
+    """Distinct (package, core) pairs in the Linux CPU topology; the logical
+    CPU count where that topology cannot be read."""
+    cores = set()
+    for topology in Path("/sys/devices/system/cpu").glob("cpu[0-9]*/topology"):
+        try:
+            cores.add(((topology / "physical_package_id").read_text().strip(),
+                       (topology / "core_id").read_text().strip()))
+        except OSError:
+            continue
+    return len(cores) or os.cpu_count() or 1
 
 
 def _worker_count(ns) -> int:

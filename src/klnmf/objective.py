@@ -231,28 +231,30 @@ class KLObjective:
     """Precomputed pieces of the objective for one data matrix.
 
     The one evaluation of the objective: ``run()`` calls it on its cached
-    product at every sweep without recomputing masks or the normalizer,
-    and :func:`kl_divergence` and :func:`relative_error` call it on a fresh
-    product.
+    product at every sweep without recomputing the support or the
+    normalizer, and :func:`kl_divergence` and :func:`relative_error` call it
+    on a fresh product. ``index`` is the flat row-major index of the
+    nonzeros of V and ``values`` their values; the Newton sweeps build their
+    support layout from them.
     """
 
     def __init__(self, V):
         V = as_matrix_array(V)
-        self.mask = V > 0
-        self._v = V[self.mask]
-        total = float(self._v.sum())
-        self._const = float(self._v @ np.log(self._v)) - total
-        means = np.broadcast_to(V.mean(axis=1, keepdims=True), V.shape)[self.mask]
-        self.normalizer = float(self._v @ np.log(self._v / means))
+        self.index = np.flatnonzero(V > 0)
+        self.values = np.take(V, self.index)
+        total = float(self.values.sum())
+        self._const = float(self.values @ np.log(self.values)) - total
+        means = V.mean(axis=1)[self.index // V.shape[1]]
+        self.normalizer = float(self.values @ np.log(self.values / means))
         self.degenerate_normalizer = abs(self.normalizer) <= NORMALIZER_FLOOR * total
 
     def of_product(self, WH: np.ndarray) -> ExtendedObjective:
-        wh = WH[self.mask]
+        wh = np.take(WH, self.index)
         if wh.size and float(wh.min()) <= 0.0:
             return ExtendedObjective.infinite()
         total = float(WH.sum()) + self._const
         if wh.size:
-            total -= float(self._v @ np.log(wh))
+            total -= float(self.values @ np.log(wh))
         return ExtendedObjective.finite(total)
 
     def relative(self, objective: ExtendedObjective) -> float:

@@ -13,10 +13,19 @@ columns (rows) of the cached product, so the vectorized slice update below
 is exactly the sequential per-scalar loop in slice order; no other
 parallelism is applied. A slice of W is a slice of H run on the transposed
 problem.
+
+Slices read only the support of V. A :class:`SupportLayout`, built once per
+data matrix, lists the nonzeros in the order each half reduces over: column
+by column for H, row by row for W. The derivatives of a slice are then
+per-segment sums (``np.add.reduceat``), and the product is carried on the
+support only, as a vector updated in place and reordered between the
+halves. Each sweep ends by writing the full product once
+(:meth:`SolverState.resync`), so the next step starts from an exact one.
 """
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +41,59 @@ FULL_STEP_LAMBDA = 0.683802
 CCD_PRODUCT_FLOOR = 1e-300
 
 
+class _Order(NamedTuple):
+    """The nonzeros in the order one half reduces over, indexed in that
+    half's orientation: ``rows`` picks the entry of the W column of a slice,
+    ``cols`` the updated entry of H, and each H entry with data owns the
+    contiguous segment that begins at its entry of ``starts``."""
+
+    values: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    starts: np.ndarray
+    segments: np.ndarray
+
+
+def _order(values, rows, cols):
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    return _Order(values, rows, cols, starts, cols[starts])
+
+
+class SupportLayout:
+    """The nonzeros of one data matrix, ordered for both halves of a sweep.
+
+    ``index`` is the flat row-major index of the nonzeros and ``values``
+    their values, as :class:`~klnmf.objective.KLObjective` keeps them;
+    ``by_col`` lists, column by column, the position of each nonzero in
+    that row-major order. ``orders`` is indexed by
+    ``SolverState.transposed``: the H half reads the column order, the W
+    half the row order.
+    """
+
+    def __init__(self, shape, index, values):
+        self.shape = shape
+        self.index = index
+        rows, cols = np.divmod(index, shape[1])
+        self.by_col = np.argsort(cols, kind="stable")
+        self.orders = (
+            _order(values[self.by_col], rows[self.by_col], cols[self.by_col]),
+            _order(values, cols, rows),
+        )
+
+    @classmethod
+    def of(cls, V) -> "SupportLayout":
+        V = np.asarray(V, dtype=np.float64)
+        index = np.flatnonzero(V > 0)
+        return cls(V.shape, index, np.take(V, index))
+
+    def caller_entry(self, position, transposed):
+        """(i, j) in V of the nonzero at ``position`` of a half's order."""
+        if not transposed:
+            position = self.by_col[position]
+        i, j = divmod(int(self.index[position]), self.shape[1])
+        return i, j
+
+
 def self_concordant_constants(V) -> tuple[np.ndarray, np.ndarray]:
     """Per-row and per-column curvature constants of the data matrix.
 
@@ -39,14 +101,15 @@ def self_concordant_constants(V) -> tuple[np.ndarray, np.ndarray]:
     1/sqrt(V[i, j]) (used for every entry of row i of W) and c_cols[j] the
     same over positive V[:, j] (for every entry of column j of H). Rows or
     columns with no positive data get 0.0; the constant is never consulted
-    there because the curvature vanishes identically.
+    there because the curvature vanishes identically. ``V`` may also be the
+    data's :class:`SupportLayout`, whose segments give the minima.
     """
-    V = np.asarray(V, dtype=np.float64)
-    masked = np.where(V > 0, V, np.inf)
-    min_rows = masked.min(axis=1)
-    min_cols = masked.min(axis=0)
-    c_rows = np.where(np.isfinite(min_rows), 1.0 / np.sqrt(min_rows), 0.0)
-    c_cols = np.where(np.isfinite(min_cols), 1.0 / np.sqrt(min_cols), 0.0)
+    support = V if isinstance(V, SupportLayout) else SupportLayout.of(V)
+    by_cols, by_rows = support.orders
+    c_rows, c_cols = np.zeros(support.shape[0]), np.zeros(support.shape[1])
+    for c, order in ((c_rows, by_rows), (c_cols, by_cols)):
+        c[order.segments] = 1.0 / np.sqrt(
+            np.minimum.reduceat(order.values, order.starts))
     return c_rows, c_cols
 
 
@@ -71,36 +134,6 @@ def sn_update_scalar(x, f1, f2, c, epsilon) -> float:
     return float(x + d / (1.0 + lam))
 
 
-def _slice_ratios(V, state, mask, floor):
-    """V/WH and V/WH^2 on the support of V; zero elsewhere.
-
-    With ``floor`` set the cached product is clamped in place first and the
-    curvature ratio is capped so a floored product cannot overflow to inf
-    (which would poison the reductions with 0 * inf); without a floor a
-    vanishing product on the support raises.
-    """
-    WH = state.WH
-    if floor is not None:
-        np.maximum(WH, floor, out=WH)
-    else:
-        bad = mask & (WH <= 0)
-        if np.any(bad):
-            i, j = np.argwhere(state.oriented(bad))[0]
-            raise NonDifferentiableError(
-                f"cached product is 0 at ({i}, {j}) where the data is positive"
-            )
-    ratio = np.zeros_like(V)
-    np.divide(V, WH, out=ratio, where=mask)
-    ratio2 = np.zeros_like(V)
-    if floor is not None:
-        with np.errstate(over="ignore"):
-            np.divide(ratio, WH, out=ratio2, where=mask)
-        np.minimum(ratio2, 1e300, out=ratio2)
-    else:
-        np.divide(ratio, WH, out=ratio2, where=mask)
-    return ratio, ratio2
-
-
 def _newton_targets(x, f1, f2, epsilon):
     """Clamped Newton targets, honoring the vanishing-curvature convention."""
     s = np.empty_like(x)
@@ -114,16 +147,37 @@ def _newton_targets(x, f1, f2, epsilon):
     return s
 
 
-def _update_slice(V, mask, state, k, c, epsilon, damped, floor):
-    """Newton update of row k of state.H, with the product adjusted in place.
+def _update_slice(support, state, k, c, epsilon, damped, floor, w, wh, ratio, work):
+    """Newton update of row k of state.H, with the support product ``wh``
+    adjusted in place.
 
-    ``V``, ``mask`` and the column curvature constants ``c`` are in the
-    state's orientation.
+    ``w`` holds column k of state.W at the half's nonzeros; ``ratio`` and
+    ``work`` are scratch of the same length. With ``floor`` set ``wh`` is
+    clamped first and V/WH^2 capped, so a floored product cannot overflow to
+    inf (which would poison the sums with 0 * inf); without a floor a
+    vanishing product raises.
     """
-    wk = state.W[:, k]
-    ratio, ratio2 = _slice_ratios(V, state, mask, floor)
-    f1 = state.col_sums_W[k] - wk @ ratio
-    f2 = (wk * wk) @ ratio2
+    order = support.orders[state.transposed]
+    if floor is not None:
+        np.maximum(wh, floor, out=wh)
+    elif wh.size and wh.min() <= 0:
+        i, j = support.caller_entry(int(np.argmax(wh <= 0)), state.transposed)
+        raise NonDifferentiableError(
+            f"cached product is 0 at ({i}, {j}) where the data is positive")
+    np.divide(order.values, wh, out=ratio)
+    np.multiply(ratio, w, out=work)
+    f1 = np.full(state.H.shape[1], state.col_sums_W[k])
+    f1[order.segments] -= np.add.reduceat(work, order.starts)
+    if floor is None:
+        np.divide(work, wh, out=ratio)
+    else:
+        with np.errstate(over="ignore"):
+            np.divide(ratio, wh, out=ratio)
+        np.minimum(ratio, 1e300, out=ratio)
+        ratio *= w
+    ratio *= w
+    f2 = np.zeros_like(f1)
+    f2[order.segments] = np.add.reduceat(ratio, order.starts)
     x = state.H[k, :].copy()
     s = _newton_targets(x, f1, f2, epsilon)
     if damped:
@@ -133,43 +187,66 @@ def _update_slice(V, mask, state, k, c, epsilon, damped, floor):
     else:
         xnew = s
     state.H[k, :] = xnew
-    # Built in the product's layout (transposed on a W half) so the add streams.
-    state.WH += np.outer(wk, xnew - x, out=np.empty_like(state.WH))
+    np.take(xnew - x, order.cols, out=work, mode="clip")
+    work *= w
+    wh += work
 
 
-def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped, floor):
-    c_rows, c_cols = self_concordant_constants(V) if constants is None else constants
-    mask = V > 0
+def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped,
+                  floor, support):
+    if support is None:
+        support = SupportLayout.of(V)
+    if constants is None:
+        constants = self_concordant_constants(support)
+    c_rows, c_cols = constants
+    # Support buffers, allocated once per sweep; wh starts in row order. The
+    # indices are in range by construction, and take(out=) with the default
+    # mode="raise" would buffer a fresh copy of its output on every call.
+    wh = np.take(state.WH, support.index)
+    ratio, work, w = (np.empty_like(wh) for _ in range(3))
+    in_row_order = True
     for half in state.halves(h_first):
-        V_half, mask_half = half.oriented(V), half.oriented(mask)
+        if half.transposed != in_row_order:
+            if in_row_order:
+                np.take(wh, support.by_col, out=ratio, mode="clip")
+            else:
+                ratio[support.by_col] = wh
+            wh, ratio = ratio, wh
+            in_row_order = half.transposed
+        rows = support.orders[half.transposed].rows
         c = c_rows if half.transposed else c_cols
         for k in range(half.H.shape[0]):
+            np.take(half.W[:, k], rows, out=w, mode="clip")
             for _ in range(inner_repeats):
-                _update_slice(V_half, mask_half, half, k, c, epsilon, damped, floor)
+                _update_slice(support, half, k, c, epsilon, damped, floor,
+                              w, wh, ratio, work)
         half.H.sum(axis=1, out=half.row_sums_H)
+    state.resync()
     return state
 
 
 def sn_sweep(V, state, epsilon, inner_repeats: int = 3, constants=None,
-             h_first: bool = True):
+             h_first: bool = True, support: SupportLayout | None = None):
     """One safeguarded Newton pass over every entry of H and W, in place.
 
     Each scalar is updated ``inner_repeats`` times with freshly recomputed
-    derivatives; the cached product is adjusted after every change. The
-    curvature constants may be precomputed once per data matrix and passed
+    derivatives; the product on the support is adjusted after every change
+    and the full product recomputed at the end. The curvature constants and
+    the support layout may be precomputed once per data matrix and passed
     in. The objective never increases.
     """
     return _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first,
-                         damped=True, floor=None)
+                         damped=True, floor=None, support=support)
 
 
 def ccd_sweep(V, state, epsilon, inner_repeats: int = 3, constants=None,
-              h_first: bool = True):
+              h_first: bool = True, support: SupportLayout | None = None):
     """One plain cyclic Newton pass: always the clamped full step.
 
-    The cached product is floored at CCD_PRODUCT_FLOOR after each slice so
-    incremental updates can never produce NaN derivatives. The objective may
-    increase; callers track it rather than asserting monotonicity.
+    The product on the support is floored at CCD_PRODUCT_FLOOR before each
+    slice so incremental updates can never produce NaN derivatives. The
+    objective may increase; callers track it rather than asserting
+    monotonicity.
     """
     return _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first,
-                         damped=False, floor=CCD_PRODUCT_FLOOR)
+                         damped=False, floor=CCD_PRODUCT_FLOOR, support=support)

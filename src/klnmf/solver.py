@@ -19,7 +19,8 @@ from .matrices import Factorization, NonnegMatrix, ProblemInstance
 from .mirror import bmd_step
 from .multiplicative import mu_step
 from .objective import KLObjective, kkt_residual
-from .scalar_newton import ccd_sweep, self_concordant_constants, sn_sweep
+from .scalar_newton import (SupportLayout, ccd_sweep, self_concordant_constants,
+                            sn_sweep)
 from .state import SolverState
 from .traces import RunTrace, TraceSample
 
@@ -30,10 +31,15 @@ MONOTONE_KINDS = ("mu", "bmd", "sn", "snmu")
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
-#: Kinds built on Newton sweeps. run() resynchronizes their incrementally
-#: adjusted product before each outer sweep. Their step rule clamps at the
-#: bound itself, so their default epsilon is 0, not machine precision.
+#: Kinds built on Newton sweeps. Each sweep carries the product on the
+#: support of V and recomputes the full product at its end.
 NEWTON_KINDS = ("sn", "snmu", "ccd")
+
+#: Kinds whose safeguarded step rule clamps at the bound itself, so their
+#: default epsilon is 0. Every other kind, ccd included, defaults to machine
+#: precision: at epsilon 0 an undamped ccd step can zero a whole row of W
+#: where the data row is not empty, and its derivatives then turn NaN.
+ZERO_EPSILON_KINDS = ("sn", "snmu")
 
 
 @dataclass(frozen=True)
@@ -84,12 +90,13 @@ class SolverConfig:
     def resolved_epsilon(self, instance_epsilon: float = 0.0) -> float:
         if self.epsilon is not None:
             return self.epsilon
-        default = 0.0 if self.kind in NEWTON_KINDS else MACHINE_EPS
+        default = 0.0 if self.kind in ZERO_EPSILON_KINDS else MACHINE_EPS
         return max(float(instance_epsilon), default)
 
 
 def snmu_step(V, state, epsilon, cycle=(10, 1), inner_repeats: int = 3,
-              constants=None, h_first: bool = True, deadline: float = math.inf):
+              constants=None, h_first: bool = True, deadline: float = math.inf,
+              support: SupportLayout | None = None):
     """Several safeguarded Newton sweeps followed by multiplicative steps.
 
     The multiplicative tail restores the scaled property: when its clamp is
@@ -100,25 +107,28 @@ def snmu_step(V, state, epsilon, cycle=(10, 1), inner_repeats: int = 3,
     """
     for _ in range(cycle[0]):
         sn_sweep(V, state, epsilon, inner_repeats=inner_repeats,
-                 constants=constants, h_first=h_first)
+                 constants=constants, h_first=h_first, support=support)
         if time.perf_counter() >= deadline:
             break
     for _ in range(cycle[1]):
-        state.resync()
         mu_step(V, state, epsilon, h_first=h_first)
     return state
 
 
-def _make_stepper(config: SolverConfig, V: np.ndarray, epsilon: float,
-                  deadline: float):
+def _make_stepper(config: SolverConfig, V: np.ndarray, objective: KLObjective,
+                  epsilon: float, deadline: float):
     """One outer sweep of ``config.kind`` as a function of the state.
 
     The step functions are looked up in this module each time the stepper
     runs, so that patching ``klnmf.solver.sn_sweep`` and the like reaches it.
+    The Newton kinds get the support layout and the curvature constants of
+    V, built once from the objective's support.
     """
     newton = {"inner_repeats": config.inner_repeats}
     if config.kind in NEWTON_KINDS:
-        newton["constants"] = self_concordant_constants(V)
+        support = SupportLayout(V.shape, objective.index, objective.values)
+        newton["support"] = support
+        newton["constants"] = self_concordant_constants(support)
     steps = {
         "mu": lambda state: mu_step(V, state, epsilon),
         "bmd": lambda state: bmd_step(V, state, epsilon),
@@ -186,12 +196,11 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
         return finish()
 
     start = time.perf_counter()
-    stepper = _make_stepper(config, V, epsilon, start + config.time_budget)
+    stepper = _make_stepper(config, V, objective, epsilon,
+                            start + config.time_budget)
     last_recorded = 0
     prev_value = obj.value
     for it in range(1, config.max_outer_iters + 1):
-        if config.kind in NEWTON_KINDS:
-            state.resync()
         stepper(state)
         elapsed = time.perf_counter() - start
         obj = objective.of_product(state.WH)

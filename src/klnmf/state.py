@@ -14,9 +14,10 @@ import numpy as np
 class SolverState:
     """Factors plus the caches every sweep maintains.
 
-    The product cache is resynchronized from scratch once per outer sweep
-    (the Newton sweeps adjust it incrementally in between), which keeps
-    accumulated drift bounded.
+    Every step leaves the product cache exact: the multiplicative and
+    mirror halves recompute it, and a Newton sweep, which adjusts a copy on
+    the support of V incrementally, ends with :meth:`resync`. So no drift
+    outlives a sweep.
     """
 
     W: np.ndarray

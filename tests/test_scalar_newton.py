@@ -155,6 +155,16 @@ def sparse_triple(rng, m=6, n=5, r=3):
     return V, W, H
 
 
+def very_sparse_triple(rng, m=7, n=6):
+    """Full-rank factors (r = min(m, n)) on data with about 15% of its
+    entries nonzero, whose first two columns hold one nonzero each."""
+    V, W, H = random_triple(rng, m=m, n=n, r=min(m, n))
+    V[rng.random((m, n)) < 0.85] = 0.0
+    V[:, :2] = 0.0
+    V[rng.integers(m, size=2), [0, 1]] = rng.uniform(0.5, 3.0, size=2)
+    return V, W, H
+
+
 class TestSweeps:
     def test_exact_interior_fit_is_fixed_point(self):
         W = np.array([[1.0, 0.5], [0.2, 2.0]])
@@ -180,11 +190,14 @@ class TestSweeps:
         # over 200 random sparse draws (3-7 x 3-7) one ccd entry differed
         # from the scalar loop by 2.9e-10 of the largest entry, the rest by
         # at most 1.1e-14. Hence an absolute term, relative to max|want|, on
-        # the sparse input only.
+        # the sparse inputs only. The very sparse input has single-entry
+        # segments and as many slices as it has rows or columns.
         sweeps = ((True, sn_sweep), (False, ccd_sweep))
         dense = [random_triple(rng, m=5, n=4, r=3) for _ in sweeps]
-        for (damped, sweep), triple in zip(sweeps, dense):
-            for V, W, H, atol in ((*triple, 0.0), (*sparse_triple(rng), 1e-9)):
+        sparse = [sparse_triple(rng) for _ in sweeps]
+        very_sparse = [very_sparse_triple(rng) for _ in sweeps]
+        for (damped, sweep), *triples in zip(sweeps, dense, sparse, very_sparse):
+            for (V, W, H), atol in zip(triples, (0.0, 1e-9, 1e-9)):
                 state = SolverState.from_factors(W, H)
                 sweep(V, state, epsilon=1e-9, inner_repeats=2)
                 want_W, want_H = sequential_sweep(V, W, H, 1e-9, 2, damped)
