@@ -8,13 +8,19 @@ is the step of H run on the transposed problem, the step of one column the
 same code on one column. Column updates of H are mutually independent given
 W, and are reduced in a fixed summation order, so results never depend on
 any parallel scheduling.
+
+The ratio is formed on the support of V only, in the scratch of the data's
+:class:`~klnmf.objective.KLObjective` (see :func:`support_ratio`), which
+also holds the step constants; the two products stay dense BLAS calls. So a
+sweep makes no elementwise pass over the zeros of V and allocates no m×n
+temporary; the object's scratch makes it unsafe to share across threads.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DegenerateInputError
-from .objective import support_ratio
+from .objective import KLObjective, support_ratio
 from .state import SolverState
 
 
@@ -64,14 +70,19 @@ def bmd_update_column(v, W, h, L, epsilon) -> np.ndarray:
     return state.H.reshape(-1)
 
 
-def bmd_step(V, state, epsilon, h_first: bool = True):
+def bmd_step(V, state, epsilon, h_first: bool = True,
+             objective: KLObjective | None = None):
     """One full mirror sweep over all columns of H then all rows of W.
 
     Zero data columns (rows) get their H column (W row) set to epsilon
     directly: only the linear term remains there, so any feasible value is
     optimal and the choice is deterministic. The objective never increases.
+    ``objective`` is the :class:`KLObjective` of V, built here when absent;
+    a run passes its own, and the step constants are its stored sums.
     """
+    if objective is None:
+        objective = KLObjective(V)
     for half in state.halves(h_first):
-        _bmd_half(half.oriented(support_ratio(V, state.WH)),
-                  half.oriented(V).sum(axis=0), half, epsilon)
+        _bmd_half(half.oriented(support_ratio(V, state.WH, objective)),
+                  objective.sums[half.transposed], half, epsilon)
     return state

@@ -6,6 +6,12 @@ update of W is the update of H run on the transposed problem. Column updates
 of H are mutually independent given W, and the implementation reduces them
 with a fixed summation order (one matrix product), so results never depend
 on any parallel scheduling.
+
+The ratio is formed on the support of V only, in the scratch of the data's
+:class:`~klnmf.objective.KLObjective` (see :func:`support_ratio`), and the
+two products stay dense BLAS calls. So a sweep makes no elementwise pass
+over the zeros of V and allocates no m×n temporary; the object's scratch
+makes it unsafe to share across threads.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateInputError
-from .objective import support_ratio
+from .objective import KLObjective, support_ratio
 from .state import SolverState
 
 # Indexed by SolverState.transposed.
@@ -56,17 +62,22 @@ def mu_update_W(V, W, H, WH, epsilon) -> np.ndarray:
     return state.W
 
 
-def mu_step(V, state, epsilon, h_first: bool = True):
+def mu_step(V, state, epsilon, h_first: bool = True,
+            objective: KLObjective | None = None):
     """One full alternating multiplicative sweep, in place on ``state``.
 
     The second half-update uses the refreshed product of the first, and the
     product cache is recomputed from scratch after each half (no incremental
     drift). The objective never increases. At epsilon = 0 the update of H
     makes the product match the column sums of the data exactly, and the
-    update of W its row sums.
+    update of W its row sums. ``objective`` is the :class:`KLObjective` of
+    V, built here when absent; a run passes its own.
     """
+    if objective is None:
+        objective = KLObjective(V)
     for half in state.halves(h_first):
-        _mu_half(half.oriented(support_ratio(V, state.WH)), half, epsilon)
+        _mu_half(half.oriented(support_ratio(V, state.WH, objective)), half,
+                 epsilon)
     return state
 
 

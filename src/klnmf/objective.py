@@ -7,6 +7,7 @@ a*log(0) = -inf for a > 0.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -110,21 +111,27 @@ def _conforming(V, W, H):
     return V, W, H
 
 
-def support_ratio(V: np.ndarray, WH: np.ndarray) -> np.ndarray:
+def support_ratio(V: np.ndarray, WH: np.ndarray,
+                  objective: "KLObjective | None" = None) -> np.ndarray:
     """V / WH on the support of V, exact zeros elsewhere.
 
-    Raises NonDifferentiableError if WH vanishes where V is positive.
+    Raises NonDifferentiableError if WH vanishes where V is positive. Only
+    the support is read: ``objective`` is the :class:`KLObjective` of V,
+    built here when absent, and the result is its ``ratio`` buffer, which
+    the next call on the same object overwrites.
     """
-    mask = V > 0
-    bad = mask & (WH <= 0)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
+    if objective is None:
+        objective = KLObjective(V)
+    wh = objective.gather(WH)
+    if wh.size and wh.min() <= 0:
+        position = objective.index[np.argmax(wh <= 0)]
+        i, j = divmod(int(position), objective.shape[1])
         raise NonDifferentiableError(
             f"product is 0 at ({i}, {j}) where the data is positive"
         )
-    out = np.zeros_like(V)
-    np.divide(V, WH, out=out, where=mask)
-    return out
+    np.divide(objective.values, wh, out=wh)
+    objective.ratio.reshape(-1)[objective.index] = wh
+    return objective.ratio
 
 
 def kl_divergence(V, W, H) -> ExtendedObjective:
@@ -192,18 +199,23 @@ def grad_H(V, W, H) -> np.ndarray:
     return _grad_H(support_ratio(V, W @ H), W)
 
 
-def kkt_residual(V, W, H, epsilon: float = 0.0) -> float:
+def kkt_residual(V, W, H, epsilon: float = 0.0,
+                 objective: "KLObjective | None" = None,
+                 WH: np.ndarray | None = None) -> float:
     """Largest violation of the first-order optimality system at (W, H).
 
     Each entry x with partial derivative g contributes
     max(-g, |(x - epsilon) * g|): the first term penalizes a descent
     direction into the feasible region, the second a nonzero derivative away
     from the bound. The result is 0 iff every entry satisfies both
-    conditions exactly; non-differentiable points return +inf.
+    conditions exactly; non-differentiable points return +inf. A caller
+    that holds the :class:`KLObjective` of V and the product W @ H passes
+    them, and its arrays are then used as they are.
     """
-    V, W, H = _conforming(V, W, H)
+    if objective is None:
+        V, W, H = _conforming(V, W, H)
     try:
-        ratio = support_ratio(V, W @ H)
+        ratio = support_ratio(V, W @ H if WH is None else WH, objective)
     except NonDifferentiableError:
         return math.inf
     gw = _grad_H(ratio.T, H.T).T
@@ -235,26 +247,58 @@ class KLObjective:
     normalizer, and :func:`kl_divergence` and :func:`relative_error` call it
     on a fresh product. ``index`` is the flat row-major index of the
     nonzeros of V and ``values`` their values; the Newton sweeps build their
-    support layout from them.
+    support layout from them. ``sums`` holds the column and the row sums of
+    V, indexed by ``SolverState.transposed``.
+
+    The object also holds scratch, allocated once: an nnz-length vector that
+    every product is gathered into, and ``ratio``, the m×n result of
+    :func:`support_ratio`, which stays exactly zero off the support. So an
+    evaluation makes no fresh temporary of either size, a returned ratio is
+    overwritten by the next call, and one object must not be shared across
+    threads.
     """
 
     def __init__(self, V):
         V = as_matrix_array(V)
+        self.shape = V.shape
         self.index = np.flatnonzero(V > 0)
         self.values = np.take(V, self.index)
-        total = float(self.values.sum())
-        self._const = float(self.values @ np.log(self.values)) - total
-        means = V.mean(axis=1)[self.index // V.shape[1]]
-        self.normalizer = float(self.values @ np.log(self.values / means))
-        self.degenerate_normalizer = abs(self.normalizer) <= NORMALIZER_FLOOR * total
+        self.sums = (V.sum(axis=0), V.T.sum(axis=0))
+        self.ratio = np.zeros(V.shape)
+        self._wh = np.empty_like(self.values)
+
+    # The constants below take logarithms of the data; they are computed on
+    # first use, so that the steps that build an object for one ratio only
+    # do not pay for them.
+
+    @cached_property
+    def _const(self) -> float:
+        return float(self.values @ np.log(self.values)) - float(self.values.sum())
+
+    @cached_property
+    def normalizer(self) -> float:
+        means = (self.sums[1] / self.shape[1])[self.index // self.shape[1]]
+        return float(self.values @ np.log(self.values / means))
+
+    @cached_property
+    def degenerate_normalizer(self) -> bool:
+        return abs(self.normalizer) <= NORMALIZER_FLOOR * float(self.values.sum())
+
+    def gather(self, WH: np.ndarray) -> np.ndarray:
+        """WH on the support, written into the object's nnz-length scratch."""
+        if WH.shape != self.shape:
+            raise ShapeError(f"product of shape {WH.shape}, data {self.shape}")
+        # The index is in range by construction; take(out=) with the default
+        # mode="raise" would buffer a fresh copy of its output on every call.
+        return np.take(WH, self.index, out=self._wh, mode="clip")
 
     def of_product(self, WH: np.ndarray) -> ExtendedObjective:
-        wh = np.take(WH, self.index)
+        wh = self.gather(WH)
         if wh.size and float(wh.min()) <= 0.0:
             return ExtendedObjective.infinite()
         total = float(WH.sum()) + self._const
         if wh.size:
-            total -= float(self.values @ np.log(wh))
+            total -= float(self.values @ np.log(wh, out=wh))
         return ExtendedObjective.finite(total)
 
     def relative(self, objective: ExtendedObjective) -> float:

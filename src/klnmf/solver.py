@@ -96,14 +96,16 @@ class SolverConfig:
 
 def snmu_step(V, state, epsilon, cycle=(10, 1), inner_repeats: int = 3,
               constants=None, h_first: bool = True, deadline: float = math.inf,
-              support: SupportLayout | None = None):
+              support: SupportLayout | None = None,
+              objective: KLObjective | None = None):
     """Several safeguarded Newton sweeps followed by multiplicative steps.
 
     The multiplicative tail restores the scaled property: when its clamp is
     zero, the product leaves the tail matching the data's column and row
     sums. Both components are monotone, so the composite step is too. The
     Newton sweeps stop early once ``time.perf_counter()`` passes
-    ``deadline``; the tail still runs.
+    ``deadline``; the tail still runs. ``objective``, the
+    :class:`KLObjective` of V, goes to the tail.
     """
     for _ in range(cycle[0]):
         sn_sweep(V, state, epsilon, inner_repeats=inner_repeats,
@@ -111,7 +113,7 @@ def snmu_step(V, state, epsilon, cycle=(10, 1), inner_repeats: int = 3,
         if time.perf_counter() >= deadline:
             break
     for _ in range(cycle[1]):
-        mu_step(V, state, epsilon, h_first=h_first)
+        mu_step(V, state, epsilon, h_first=h_first, objective=objective)
     return state
 
 
@@ -121,8 +123,10 @@ def _make_stepper(config: SolverConfig, V: np.ndarray, objective: KLObjective,
 
     The step functions are looked up in this module each time the stepper
     runs, so that patching ``klnmf.solver.sn_sweep`` and the like reaches it.
-    The Newton kinds get the support layout and the curvature constants of
-    V, built once from the objective's support.
+    Every kind reads V through the run's objective: MU, BMD and the MU tail
+    of snmu form their ratio in its scratch, and the Newton kinds get the
+    support layout and the curvature constants of V, built once from its
+    support.
     """
     newton = {"inner_repeats": config.inner_repeats}
     if config.kind in NEWTON_KINDS:
@@ -130,12 +134,13 @@ def _make_stepper(config: SolverConfig, V: np.ndarray, objective: KLObjective,
         newton["support"] = support
         newton["constants"] = self_concordant_constants(support)
     steps = {
-        "mu": lambda state: mu_step(V, state, epsilon),
-        "bmd": lambda state: bmd_step(V, state, epsilon),
+        "mu": lambda state: mu_step(V, state, epsilon, objective=objective),
+        "bmd": lambda state: bmd_step(V, state, epsilon, objective=objective),
         "sn": lambda state: sn_sweep(V, state, epsilon, **newton),
         "ccd": lambda state: ccd_sweep(V, state, epsilon, **newton),
         "snmu": lambda state: snmu_step(V, state, epsilon, cycle=config.snmu_cycle,
-                                        deadline=deadline, **newton),
+                                        deadline=deadline, objective=objective,
+                                        **newton),
     }
     return steps[config.kind]
 
@@ -219,7 +224,8 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
             if decrease < config.objective_tol:
                 break
         if config.kkt_tol is not None:
-            residual = kkt_residual(V, state.W, state.H, epsilon)
+            residual = kkt_residual(V, state.W, state.H, epsilon, objective,
+                                    state.WH)
             if residual <= config.kkt_tol:
                 break
         prev_value = obj.as_float()
