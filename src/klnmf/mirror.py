@@ -14,6 +14,9 @@ The ratio is formed on the support of V only, in the scratch of the data's
 also holds the step constants; the two products stay dense BLAS calls. So a
 sweep makes no elementwise pass over the zeros of V and allocates no m×n
 temporary; the object's scratch makes it unsafe to share across threads.
+A half builds its denominators in place in the one r×n array that its
+gradient product returns; only a half with empty data columns allocates
+anything more, a mask of them.
 """
 from __future__ import annotations
 
@@ -31,14 +34,21 @@ def _bmd_half(ratio, L, state, epsilon):
     orientation. Columns with L == 0 are set to epsilon.
     """
     W, H = state.W, state.H
-    live = L > 0
-    G = state.col_sums_W[:, None] - W.T @ ratio
-    denom = np.zeros_like(H)
-    np.divide(H * G, L[None, :], out=denom, where=live[None, :])
+    # The denominator 1 + H*G/L, built in place in the buffer the product of
+    # the gradient G = colsum(W) - W.T @ ratio lands in. Dead columns get 1.
+    denom = W.T @ ratio
+    np.subtract(state.col_sums_W[:, None], denom, out=denom)
+    denom *= H
+    live = None
+    if L.min() > 0:
+        denom /= L
+    else:
+        live = L > 0
+        np.divide(denom, L, out=denom, where=live)
+        denom[:, ~live] = 0.0
     denom += 1.0
-    bad = live[None, :] & (denom <= 0)
-    if np.any(bad):
-        k, j = np.argwhere(state.oriented(bad))[0]
+    if denom.min() <= 0:
+        k, j = np.argwhere(state.oriented(denom <= 0))[0]
         raise RuntimeError(
             f"mirror-step denominator {state.oriented(denom)[k, j]!r} at "
             f"{'W' if state.transposed else 'H'} entry ({k}, {j}) is not "
@@ -47,7 +57,7 @@ def _bmd_half(ratio, L, state, epsilon):
         )
     H /= denom
     np.maximum(H, epsilon, out=H)
-    if not live.all():
+    if live is not None:
         H[:, ~live] = epsilon
     H.sum(axis=1, out=state.row_sums_H)
     np.matmul(W, H, out=state.WH)

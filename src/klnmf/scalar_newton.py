@@ -21,6 +21,17 @@ per-segment sums (``np.add.reduceat``), and the product is carried on the
 support only, as a vector updated in place and reordered between the
 halves. Each sweep ends by writing the full product once
 (:meth:`SolverState.resync`), so the next step starts from an exact one.
+
+A sweep allocates its scratch once: four nnz-length vectors (the support
+product, the ratio, a work vector and the W column at the nonzeros) and, per
+half, six buffers with one entry per entry of a row of that half's H with
+data (the derivatives f1 and f2, the targets, the decrements, the steps and
+the row's own entries there). A slice computes on those entries only; an
+entry without data has no curvature and is set directly. So a slice writes
+only into this scratch, H and the product on the support: it allocates
+nothing and makes about twenty NumPy calls. Only a slice with a damped step,
+or with vanishing curvature at an entry with data, takes a masked path,
+which does allocate.
 """
 from __future__ import annotations
 
@@ -43,20 +54,29 @@ CCD_PRODUCT_FLOOR = 1e-300
 
 class _Order(NamedTuple):
     """The nonzeros in the order one half reduces over, indexed in that
-    half's orientation: ``rows`` picks the entry of the W column of a slice,
-    ``cols`` the updated entry of H, and each H entry with data owns the
-    contiguous segment that begins at its entry of ``starts``."""
+    half's orientation. ``rows`` picks the entry of the W column of a slice.
+    Each entry of a row of H with data owns a contiguous segment of the
+    nonzeros: ``segments`` lists those entries and ``starts`` where their
+    segments begin, and ``owners`` gives the position in ``segments`` of
+    each nonzero's entry. ``empty`` lists the entries without data; when
+    there is none (``full``), ``segments`` is every entry in order."""
 
     values: np.ndarray
     rows: np.ndarray
-    cols: np.ndarray
+    owners: np.ndarray
     starts: np.ndarray
     segments: np.ndarray
+    empty: np.ndarray
+    full: bool
 
 
-def _order(values, rows, cols):
-    starts = np.flatnonzero(np.diff(cols, prepend=-1))
-    return _Order(values, rows, cols, starts, cols[starts])
+def _order(values, rows, cols, width):
+    new = np.diff(cols, prepend=-1) != 0
+    starts = np.flatnonzero(new)
+    segments = cols[starts]
+    empty = np.setdiff1d(np.arange(width), segments)
+    return _Order(values, rows, np.cumsum(new) - 1, starts, segments, empty,
+                  empty.size == 0)
 
 
 class SupportLayout:
@@ -76,8 +96,9 @@ class SupportLayout:
         rows, cols = np.divmod(index, shape[1])
         self.by_col = np.argsort(cols, kind="stable")
         self.orders = (
-            _order(values[self.by_col], rows[self.by_col], cols[self.by_col]),
-            _order(values, cols, rows),
+            _order(values[self.by_col], rows[self.by_col], cols[self.by_col],
+                   shape[1]),
+            _order(values, cols, rows, shape[0]),
         )
 
     @classmethod
@@ -134,40 +155,34 @@ def sn_update_scalar(x, f1, f2, c, epsilon) -> float:
     return float(x + d / (1.0 + lam))
 
 
-def _newton_targets(x, f1, f2, epsilon):
-    """Clamped Newton targets, honoring the vanishing-curvature convention."""
-    s = np.empty_like(x)
-    curved = f2 > 0
-    np.divide(f1, f2, out=s, where=curved)
-    np.subtract(x, s, out=s, where=curved)
-    np.maximum(s, epsilon, out=s, where=curved)
-    flat = ~curved
-    if flat.any():
-        s[flat] = np.where(f1[flat] > 0, epsilon, x[flat])
-    return s
+def _update_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
+                  work, scratch):
+    """Newton update of ``x``, row k of a half's H (a view written in
+    place), with the support product ``wh`` adjusted in place.
 
+    ``order`` is the half's order of the nonzeros, ``colsum`` the sum of
+    column k of W and ``w`` that column at the half's nonzeros; ``ratio``
+    and ``work`` are nnz-length scratch. ``scratch`` holds the half's
+    buffers, one entry per entry of x with data, and ``c`` the curvature
+    constants of those entries (see :func:`_newton_sweep`). The caller
+    keeps ``wh`` positive: with ``floor`` set it has clamped it, and V/WH^2
+    is capped here so a floored product cannot overflow to inf (which would
+    poison the sums with 0 * inf). Every value is computed by the same
+    operations, in the same order, as the scalar rule of
+    :func:`sn_update_scalar`.
 
-def _update_slice(support, state, k, c, epsilon, damped, floor, w, wh, ratio, work):
-    """Newton update of row k of state.H, with the support product ``wh``
-    adjusted in place.
-
-    ``w`` holds column k of state.W at the half's nonzeros; ``ratio`` and
-    ``work`` are scratch of the same length. With ``floor`` set ``wh`` is
-    clamped first and V/WH^2 capped, so a floored product cannot overflow to
-    inf (which would poison the sums with 0 * inf); without a floor a
-    vanishing product raises.
+    An entry without data has f1 = colsum and f2 = 0: it moves to epsilon
+    when colsum > 0 and stays put otherwise, and leaves the product alone.
     """
-    order = support.orders[state.transposed]
-    if floor is not None:
-        np.maximum(wh, floor, out=wh)
-    elif wh.size and wh.min() <= 0:
-        i, j = support.caller_entry(int(np.argmax(wh <= 0)), state.transposed)
-        raise NonDifferentiableError(
-            f"cached product is 0 at ({i}, {j}) where the data is positive")
+    f1, f2, s, lam, step, xs = scratch
+    if order.full:
+        xs = x
+    else:
+        np.take(x, order.segments, out=xs, mode="clip")
     np.divide(order.values, wh, out=ratio)
     np.multiply(ratio, w, out=work)
-    f1 = np.full(state.H.shape[1], state.col_sums_W[k])
-    f1[order.segments] -= np.add.reduceat(work, order.starts)
+    np.add.reduceat(work, order.starts, out=f1)
+    np.subtract(colsum, f1, out=f1)
     if floor is None:
         np.divide(work, wh, out=ratio)
     else:
@@ -176,18 +191,36 @@ def _update_slice(support, state, k, c, epsilon, damped, floor, w, wh, ratio, wo
         np.minimum(ratio, 1e300, out=ratio)
         ratio *= w
     ratio *= w
-    f2 = np.zeros_like(f1)
-    f2[order.segments] = np.add.reduceat(ratio, order.starts)
-    x = state.H[k, :].copy()
-    s = _newton_targets(x, f1, f2, epsilon)
-    if damped:
-        lam = c * np.sqrt(f2) * np.abs(s - x)
-        full = (f1 <= 0) | (lam <= FULL_STEP_LAMBDA)
-        xnew = np.where(full, s, x + (s - x) / (1.0 + lam))
+    np.add.reduceat(ratio, order.starts, out=f2)
+    # Clamped Newton targets. Where the curvature vanishes (or is NaN) the
+    # restriction is linear: move to the bound when it increases, else stay.
+    if f2.size and f2.min() > 0:
+        np.divide(f1, f2, out=s)
+        np.subtract(xs, s, out=s)
+        np.maximum(s, epsilon, out=s)
     else:
-        xnew = s
-    state.H[k, :] = xnew
-    np.take(xnew - x, order.cols, out=work, mode="clip")
+        curved = f2 > 0
+        np.divide(f1, f2, out=s, where=curved)
+        np.subtract(xs, s, out=s, where=curved)
+        np.maximum(s, epsilon, out=s, where=curved)
+        flat = ~curved
+        s[flat] = np.where(f1[flat] > 0, epsilon, xs[flat])
+    np.subtract(s, xs, out=step)
+    if damped:
+        np.sqrt(f2, out=lam)
+        lam *= c
+        lam *= np.abs(step, out=f2)
+        if not lam.max(initial=0.0) <= FULL_STEP_LAMBDA:
+            full = (f1 <= 0) | (lam <= FULL_STEP_LAMBDA)
+            s[...] = np.where(full, s, xs + step / (1.0 + lam))
+            np.subtract(s, xs, out=step)
+    if order.full:
+        np.copyto(x, s)
+    else:
+        x[order.segments] = s
+        if colsum > 0:
+            x[order.empty] = epsilon
+    np.take(step, order.owners, out=work, mode="clip")
     work *= w
     wh += work
 
@@ -213,13 +246,27 @@ def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped,
                 ratio[support.by_col] = wh
             wh, ratio = ratio, wh
             in_row_order = half.transposed
-        rows = support.orders[half.transposed].rows
+        order = support.orders[half.transposed]
         c = c_rows if half.transposed else c_cols
+        if not order.full:
+            c = c[order.segments]
+        # Buffers of the half, one entry per entry of a row of its H with
+        # data: f1, f2, s, lam, step and the row's entries there.
+        scratch = tuple(np.empty((6, order.segments.size)))
         for k in range(half.H.shape[0]):
-            np.take(half.W[:, k], rows, out=w, mode="clip")
+            np.take(half.W[:, k], order.rows, out=w, mode="clip")
+            x, colsum = half.H[k], half.col_sums_W[k]
             for _ in range(inner_repeats):
-                _update_slice(support, half, k, c, epsilon, damped, floor,
-                              w, wh, ratio, work)
+                if floor is not None:
+                    np.maximum(wh, floor, out=wh)
+                elif wh.size and wh.min() <= 0:
+                    i, j = support.caller_entry(int(np.argmax(wh <= 0)),
+                                                half.transposed)
+                    raise NonDifferentiableError(
+                        f"cached product is 0 at ({i}, {j}) where the data "
+                        "is positive")
+                _update_slice(order, x, colsum, c, epsilon, damped, floor, w,
+                              wh, ratio, work, scratch)
         half.H.sum(axis=1, out=half.row_sums_H)
     state.resync()
     return state

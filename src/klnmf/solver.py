@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,20 +118,38 @@ def snmu_step(V, state, epsilon, cycle=(10, 1), inner_repeats: int = 3,
     return state
 
 
-def _make_stepper(config: SolverConfig, V: np.ndarray, objective: KLObjective,
-                  epsilon: float, deadline: float):
+#: The support layout of each data matrix, by matrix. The first Newton run
+#: on a matrix builds it; every later run on it (a bench plan group, the
+#: rounds of a benchmark) shares it. A layout is never written, so runs in
+#: concurrent threads may share it too.
+_LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _support_layout(matrix: NonnegMatrix, objective: KLObjective) -> SupportLayout:
+    """The :class:`SupportLayout` of ``matrix``, whose :class:`KLObjective`
+    is ``objective``, built on the first call for that matrix."""
+    support = _LAYOUTS.get(matrix)
+    if support is None:
+        support = SupportLayout(matrix.shape, objective.index, objective.values)
+        _LAYOUTS[matrix] = support
+    return support
+
+
+def _make_stepper(config: SolverConfig, matrix: NonnegMatrix,
+                  objective: KLObjective, epsilon: float, deadline: float):
     """One outer sweep of ``config.kind`` as a function of the state.
 
     The step functions are looked up in this module each time the stepper
     runs, so that patching ``klnmf.solver.sn_sweep`` and the like reaches it.
-    Every kind reads V through the run's objective: MU, BMD and the MU tail
-    of snmu form their ratio in its scratch, and the Newton kinds get the
-    support layout and the curvature constants of V, built once from its
-    support.
+    Every kind reads the data through the run's objective: MU, BMD and the
+    MU tail of snmu form their ratio in its scratch, and the Newton kinds
+    get the support layout of the matrix, built once per matrix, and the
+    curvature constants, which take one pass over that layout per run.
     """
+    V = matrix.values
     newton = {"inner_repeats": config.inner_repeats}
     if config.kind in NEWTON_KINDS:
-        support = SupportLayout(V.shape, objective.index, objective.values)
+        support = _support_layout(matrix, objective)
         newton["support"] = support
         newton["constants"] = self_concordant_constants(support)
     steps = {
@@ -177,7 +196,7 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
             "convergence guarantee; use a positive epsilon", stacklevel=2)
 
     state = SolverState.from_factors(W0, H0)
-    objective = KLObjective(V)
+    objective = KLObjective(instance.V)
     obj = objective.of_product(state.WH)
     if not obj.is_finite:
         raise SolverInitError(
@@ -201,7 +220,7 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
         return finish()
 
     start = time.perf_counter()
-    stepper = _make_stepper(config, V, objective, epsilon,
+    stepper = _make_stepper(config, instance.V, objective, epsilon,
                             start + config.time_budget)
     last_recorded = 0
     prev_value = obj.value

@@ -98,6 +98,43 @@ class TestBmdStep:
         ])
         np.testing.assert_allclose(state.H, expected_H, rtol=1e-12)
 
+    def test_step_with_empty_lines_equals_row_and_column_updates(self, rng):
+        # A zero data row and a zero data column: the H half runs with a dead
+        # column and the W half with a dead row, every other entry against
+        # the single-column step, the W half on the transposed problem.
+        V, W, H = random_triple(rng, m=5, n=4, r=2)
+        V[1, :] = 0.0
+        V[:, 2] = 0.0
+        state = SolverState.from_factors(W, H)
+        bmd_step(V, state, epsilon=1e-9)
+
+        def replay(V, W, H):
+            return np.column_stack([
+                bmd_update_column(V[:, j], W, H[:, j], float(V[:, j].sum()), 1e-9)
+                if V[:, j].any() else np.full(H.shape[0], 1e-9)
+                for j in range(V.shape[1])])
+
+        want_H = replay(V, W, H)
+        want_W = replay(V.T, want_H.T, W.T).T
+        np.testing.assert_allclose(state.H, want_H, rtol=1e-12)
+        np.testing.assert_allclose(state.W, want_W, rtol=1e-12)
+        np.testing.assert_array_equal(state.H[:, 2], 1e-9)
+        np.testing.assert_array_equal(state.W[1, :], 1e-9)
+
+    def test_denominator_error_names_its_entry(self):
+        # Column 0 has no data, so its denominator is 1 whatever the cache;
+        # the first live entry where the bound breaks is (1, 1). A step
+        # constant below the column's 1-norm breaks it with every column
+        # live.
+        V = np.ones((3, 4))
+        V[:, 0] = 0.0
+        state = SolverState.from_factors(np.ones((3, 2)), np.ones((2, 4)))
+        state.col_sums_W[1] = -1e3  # an inconsistent cache breaks the bound
+        with pytest.raises(RuntimeError, match=r"H entry \(1, 1\)"):
+            bmd_step(V, state, 0.0)
+        with pytest.raises(RuntimeError, match=r"H entry \(0, 0\)"):
+            bmd_update_column([40.0], [[2.0]], [1.0], L=2.0, epsilon=0.0)
+
     def test_zero_data_column_sets_epsilon(self, rng):
         V, W, H = random_triple(rng, m=4, n=4, r=2)
         V[:, 2] = 0.0

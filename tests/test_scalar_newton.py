@@ -8,6 +8,7 @@ from conftest import random_triple
 from klnmf import (FULL_STEP_LAMBDA, NonDifferentiableError, SolverState,
                    ccd_sweep, kl_divergence, self_concordant_constants,
                    sn_sweep, sn_update_scalar)
+from klnmf.scalar_newton import SupportLayout
 
 
 def damped_margin(lam):
@@ -103,8 +104,9 @@ class TestSelfConcordantConstants:
         np.testing.assert_allclose(c_rows, 1.0 / np.sqrt(V.min(axis=1)))
 
 
-def sequential_sweep(V, W, H, epsilon, inner_repeats, damped):
-    """Reference: per-scalar loop in the library's slice order."""
+def sequential_sweep(V, W, H, epsilon, inner_repeats, damped, kinds=None):
+    """Reference: per-scalar loop in the library's slice order. ``kinds``,
+    when given, collects the step kind of every update of H in that order."""
     W = W.copy()
     H = H.copy()
     c_rows, c_cols = self_concordant_constants(V)
@@ -117,8 +119,10 @@ def sequential_sweep(V, W, H, epsilon, inner_repeats, damped):
                 mask = V[:, j] > 0
                 f1 = col_sums_W[k] - np.dot(W[mask, k], V[mask, j] / WH[mask, j])
                 f2 = np.dot(W[mask, k] ** 2, V[mask, j] / WH[mask, j] ** 2)
-                value, _, _ = oracles.newton_scalar_rule(
+                value, kind, _ = oracles.newton_scalar_rule(
                     H[k, j], f1, f2, c_cols[j], epsilon)
+                if kinds is not None:
+                    kinds.append(kind)
                 if not damped:
                     if f2 <= 0:
                         value = epsilon if f1 > 0 else H[k, j]
@@ -165,6 +169,39 @@ def very_sparse_triple(rng, m=7, n=6):
     return V, W, H
 
 
+def flat_curvature_triple(rng):
+    """Positive data and factors, except that column 3 of V has data in
+    rows 0 and 1 only, where column 1 of W is zero, column 4 of V is empty
+    and column 2 of W is zero. At epsilon 0 the H slice of component 1 is
+    then flat at columns 3 and 4 with a positive slope (f1 > 0), and that of
+    component 2 is flat everywhere with slope 0 (f1 <= 0)."""
+    V, W, H = random_triple(rng, m=5, n=5, r=3)
+    V[2:, 3] = 0.0
+    V[:, 4] = 0.0
+    W[:2, 1] = 0.0
+    W[:, 2] = 0.0
+    return V, W, H
+
+
+def column_gap_triple(rng):
+    """Dense data with an empty column but no empty row: the H half has an
+    entry without data, every entry of the W half has some."""
+    V, W, H = random_triple(rng, m=5, n=6, r=2)
+    V[:, 4] = 0.0
+    return V, W, H
+
+
+def damped_triple(rng):
+    """Data whose first H slice mixes damped and full steps: the product
+    starts far below the first two data columns, where the slope is
+    negative and the step full, and far above the others, where the long
+    step down is damped."""
+    V, W, H = random_triple(rng, m=6, n=5, r=2)
+    V[:, :2] *= 10.0
+    V[:, 2:] *= 0.1
+    return V, W, H
+
+
 class TestSweeps:
     def test_exact_interior_fit_is_fixed_point(self):
         W = np.array([[1.0, 0.5], [0.2, 2.0]])
@@ -191,19 +228,54 @@ class TestSweeps:
         # from the scalar loop by 2.9e-10 of the largest entry, the rest by
         # at most 1.1e-14. Hence an absolute term, relative to max|want|, on
         # the sparse inputs only. The very sparse input has single-entry
-        # segments and as many slices as it has rows or columns.
+        # segments and as many slices as it has rows or columns. The last
+        # three inputs reach flat curvature with either slope, a slice that
+        # mixes damped and full steps, and a half with an empty data line
+        # next to one without (see test_inputs_reach_their_branches).
         sweeps = ((True, sn_sweep), (False, ccd_sweep))
         dense = [random_triple(rng, m=5, n=4, r=3) for _ in sweeps]
         sparse = [sparse_triple(rng) for _ in sweeps]
         very_sparse = [very_sparse_triple(rng) for _ in sweeps]
-        for (damped, sweep), *triples in zip(sweeps, dense, sparse, very_sparse):
-            for (V, W, H), atol in zip(triples, (0.0, 1e-9, 1e-9)):
+        flat = [flat_curvature_triple(rng) for _ in sweeps]
+        damped_mix = [damped_triple(rng) for _ in sweeps]
+        gap = [column_gap_triple(rng) for _ in sweeps]
+        for (damped, sweep), *triples in zip(sweeps, dense, sparse, very_sparse,
+                                             flat, damped_mix, gap):
+            for (V, W, H), atol in zip(triples, (0.0, 1e-9, 1e-9, 0.0, 0.0, 0.0)):
                 state = SolverState.from_factors(W, H)
                 sweep(V, state, epsilon=1e-9, inner_repeats=2)
                 want_W, want_H = sequential_sweep(V, W, H, 1e-9, 2, damped)
                 for got, want in ((state.W, want_W), (state.H, want_H)):
                     np.testing.assert_allclose(
                         got, want, rtol=1e-12, atol=atol * np.abs(want).max())
+
+    def test_inputs_reach_their_branches(self, rng):
+        full = {flat_curvature_triple: (False, True),
+                column_gap_triple: (False, True),
+                damped_triple: (True, True),
+                sparse_triple: (False, False)}
+        for make, want in full.items():
+            V, W, H = make(rng)
+            assert tuple(order.full for order in SupportLayout.of(V).orders) == want
+        V, W, H = damped_triple(rng)
+        kinds = []
+        sequential_sweep(V, W, H, 0.0, 1, True, kinds)
+        assert {"damped", "full"} <= set(kinds[:H.shape[1]])
+
+    def test_flat_slices_move_to_the_bound_only_uphill(self, rng):
+        V, W, H = flat_curvature_triple(rng)
+        kinds = []
+        _, want_H = sequential_sweep(V, W, H, 0.0, 1, True, kinds)
+        n = H.shape[1]
+        # The slices of components 1 and 2, in the loop's order.
+        assert [kind == "flat" for kind in kinds[n:2 * n]] == [False] * 3 + [True] * 2
+        assert kinds[2 * n:3 * n] == ["flat"] * n
+        for sweep in (sn_sweep, ccd_sweep):
+            state = SolverState.from_factors(W, H)
+            sweep(V, state, epsilon=0.0, inner_repeats=1)
+            np.testing.assert_array_equal(state.H[1, 3:], 0.0)
+            np.testing.assert_array_equal(want_H[1, 3:], 0.0)
+            np.testing.assert_array_equal(state.H[2], H[2])
 
     def test_scalar_trajectory_embedded_in_1x1_instance(self):
         V = np.array([[4.0]])

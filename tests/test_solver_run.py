@@ -227,6 +227,75 @@ class TestStepDispatch:
         assert len(trace.samples) == 2
 
 
+def sparse_instance(rng, m=9, n=7, r=3):
+    """Poisson data with an empty row and column, and a positive init."""
+    V = rng.poisson(2.0, size=(m, n)).astype(float)
+    V[1, :] = 0.0
+    V[:, 2] = 0.0
+    instance = ProblemInstance(V=NonnegMatrix(V), rank=r)
+    init = Factorization(NonnegMatrix(rng.uniform(0.2, 1.0, size=(m, r))),
+                         NonnegMatrix(rng.uniform(0.2, 1.0, size=(r, n))))
+    return instance, init
+
+
+def run_record(instance, init, kind):
+    """Final factors and every recorded objective and error, of 6 sweeps."""
+    pair, trace = run(instance, init, SolverConfig(kind=kind, max_outer_iters=6))
+    return (pair.W.values, pair.H.values,
+            [(s.objective.as_float(), s.rel_error, s.sweep) for s in trace.samples])
+
+
+def assert_same_record(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+class TestSupportLayoutPerMatrix:
+    """The Newton kinds build the support layout of a data matrix once, and
+    every later run on it reuses it."""
+
+    def test_reused_layout_is_bitwise_a_fresh_one_and_built_once(
+            self, rng, monkeypatch):
+        import klnmf.solver as solver_mod
+        builds = []
+
+        class CountingLayout(solver_mod.SupportLayout):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(solver_mod, "SupportLayout", CountingLayout)
+        instance, init = sparse_instance(rng)
+        for kind in ("sn", "snmu", "ccd"):
+            for _ in range(2):
+                fresh = ProblemInstance(NonnegMatrix(instance.V.values.copy()),
+                                        instance.rank)
+                assert_same_record(run_record(instance, init, kind),
+                                   run_record(fresh, init, kind))
+        assert len(builds) == 1 + 6
+
+    def test_threads_on_one_instance_share_nothing_they_write(self, rng):
+        # More threads than cores and a short switch interval, so that runs
+        # interleave; a buffer shared between them would change a record.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        instance, init = sparse_instance(rng, m=40, n=30, r=4)
+        kinds = ["sn", "ccd", "snmu"] * 2
+        want = {kind: run_record(instance, init, kind) for kind in kinds}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [pool.submit(run_record, instance, init, kind)
+                           for kind in kinds]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for kind, record in zip(kinds, got):
+            assert_same_record(record, want[kind])
+
+
 class TestCcdOnSparseData:
     # The reference plan's sparse class (klbench/plan.json, seed 11, rank 4):
     # 40x30 Poisson data from a rank-4 product with factor density 0.3,

@@ -1,0 +1,234 @@
+"""Compare two checkouts on klbench in alternating pairs and write BENCH_<n>.json.
+
+    mkdir ../cmp
+    git archive --prefix=parent/ <parent-commit> | tar x -C ../cmp
+    git archive --prefix=change/ <change-commit> | tar x -C ../cmp
+    python3 tools/bench_pairs.py --parent ../cmp/parent --change ../cmp/change \\
+        --first-seed 61 --pairs 10 --traced-seed 71 --what "..." --out BENCH_<n>.json
+
+For every workload and seed it runs ``python3 klbench/run.py --workload <w>
+--seed <s> --seconds <t> --trace 0`` once in each checkout, one process at a
+time, the parent first on even seeds and the change first on odd ones. Each
+side reads its own ``klbench/`` and ``src/``, so both measure with the
+benchmark code of their own commit; compare commits whose ``klbench/`` is
+the same. With ``--traced-seed`` each side then makes one traced run per
+workload for the per-layer figures.
+
+The output has the shape of the earlier ``BENCH_<n>.json`` files: per
+workload and end-to-end metric, each side's median, quartiles
+(``numpy.percentile``, linear) and runs, how many pairs the change won
+(ties count for neither) and the ratio of the medians; the correctness and
+failure counts of every run; the minor page faults per solve; and the
+machine. With ``--work`` every run's record is kept in that directory and a
+rerun skips the runs already recorded there.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+WORKLOADS = ("dense-poisson", "sparse-counts", "small-plan")
+SIDES = ("parent", "change")
+KINDS = ("mu", "bmd", "sn", "snmu", "ccd")
+COMMAND = "python3 klbench/run.py --workload {workload} --seed {seed} " \
+          "--seconds {seconds:g} --trace {trace}"
+
+
+def _parse(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True,
+                        help="checkout of the change")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="the BENCH_<n>.json file to write")
+    parser.add_argument("--what", required=True,
+                        help="one line on what the change does")
+    parser.add_argument("--first-seed", type=int, default=61)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
+                        default=list(WORKLOADS))
+    parser.add_argument("--traced-seed", type=int,
+                        help="seed of one traced run per side and workload")
+    parser.add_argument("--work", type=Path,
+                        help="directory that keeps every run's record")
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or not args.seconds > 0:
+        parser.error("--pairs must be at least 1 and --seconds positive")
+    for side in SIDES:
+        if not (getattr(args, side) / "klbench" / "run.py").is_file():
+            parser.error(f"--{side} {getattr(args, side)} has no klbench/run.py")
+    return args
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    """One klbench run: its printed summary plus its full result file."""
+    command = COMMAND.format(workload=workload, seed=seed, seconds=seconds,
+                             trace=trace)
+    proc = subprocess.run(command.split(), cwd=checkout, capture_output=True,
+                          text=True, check=False)
+    if proc.returncode != 0 or not proc.stdout.strip():
+        raise RuntimeError(f"{command} in {checkout} exited with "
+                           f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    path = checkout / "klbench" / "out" / f"result-{workload}-seed{seed}-trace{trace}.json"
+    with open(path) as fh:
+        result = json.load(fh)
+    return {"summary": summary, "result": result, "stderr": proc.stderr}
+
+
+def recorded_run(work: Path | None, side: str, checkout: Path, workload: str,
+                 seed: int, seconds: float, trace: int) -> dict:
+    """``run_once``, read from ``work`` when that run was recorded before."""
+    path = None if work is None else \
+        work / f"{side}-{workload}-seed{seed}-trace{trace}.json"
+    if path is not None and path.is_file():
+        with open(path) as fh:
+            return json.load(fh)
+    print(f"bench_pairs: {side} {workload} seed {seed} trace {trace}",
+          file=sys.stderr, flush=True)
+    record = run_once(checkout, workload, seed, seconds, trace)
+    if path is not None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(record, fh)
+    return record
+
+
+def spread(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3),
+            "runs": list(values)}
+
+
+def failed_of_attempted(summary: dict) -> str:
+    return f"{summary['failed']}/{summary['attempted']}"
+
+
+def minor_faults(result: dict) -> dict:
+    """Median minor page faults per solve of each kind in one run."""
+    samples = result.get("samples", {})
+    return {f"{kind}.minor_faults": float(statistics.median(samples[name]))
+            for kind in KINDS
+            if (name := f"{kind}.minor_faults") in samples and samples[name]}
+
+
+def compare(pairs: list[dict], better: dict[str, str]) -> dict:
+    """One workload's entry from its pairs, each {"parent": run, "change": run}."""
+    entry = {
+        "pairs": len(pairs),
+        "correct": {side: [p[side]["summary"]["correct"] for p in pairs]
+                    for side in SIDES},
+        "failed_of_attempted": {side: [failed_of_attempted(p[side]["summary"])
+                                       for p in pairs] for side in SIDES},
+        "metrics": {},
+    }
+    names = [name for name in pairs[0]["parent"]["summary"]["metrics"]
+             if all(name in p[side]["summary"]["metrics"]
+                    for p in pairs for side in SIDES)]
+    for name in names:
+        values = {side: [p[side]["summary"]["metrics"][name]["value"] for p in pairs]
+                  for side in SIDES}
+        sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        medians = {side: spread(values[side]) for side in SIDES}
+        entry["metrics"][name] = {
+            **medians,
+            "unit": pairs[0]["parent"]["summary"]["metrics"][name]["unit"],
+            "change_wins": f"{wins}/{len(pairs)}",
+            "change_over_parent_median":
+                medians["change"]["median"] / medians["parent"]["median"],
+        }
+    faults = {side: [minor_faults(p[side]["result"]) for p in pairs] for side in SIDES}
+    entry["minor_faults"] = {
+        name: {side: float(statistics.median(run[name] for run in faults[side]))
+               for side in SIDES}
+        for name in faults["parent"][0]
+        if all(name in run for side in SIDES for run in faults[side])}
+    return entry
+
+
+def traced_entry(record: dict) -> dict:
+    summary = record["summary"]
+    return {**{name: metric["value"] for name, metric in summary["metrics"].items()},
+            **minor_faults(record["result"]),
+            "failed_of_attempted": failed_of_attempted(summary),
+            "correct": summary["correct"],
+            "notes": record["result"].get("notes", [])}
+
+
+def machine(result: dict) -> dict:
+    """The run's machine block without what changes from run to run."""
+    return {k: v for k, v in result["machine"].items() if k != "loadavg_at_start"}
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    checkouts = {side: getattr(args, side).resolve() for side in SIDES}
+    with open(checkouts["change"] / "BENCHMARK.json") as fh:
+        manifest = json.load(fh)
+    better = {m["name"]: m["better"]
+              for m in manifest["end_to_end"] + manifest["per_layer"]}
+    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    workloads, host = {}, None
+    for workload in args.workloads:
+        pairs = []
+        for seed in seeds:
+            order = SIDES if seed % 2 == 0 else SIDES[::-1]
+            pair = {side: recorded_run(args.work, side, checkouts[side], workload,
+                                       seed, args.seconds, 0)
+                    for side in order}
+            host = host or machine(pair["change"]["result"])
+            pairs.append(pair)
+        workloads[workload] = compare(pairs, better)
+    bench = {
+        "what": args.what,
+        "command": COMMAND.format(workload="<w>", seed="<s>", seconds=args.seconds,
+                                  trace=0),
+        "pairs": "one parent run and one change run per seed, alternating which "
+                 "side runs first (even seeds parent first); one process at a time",
+        "seeds": seeds,
+        "statistic": "median and quartiles (numpy.percentile, linear) over the "
+                     "runs of each side; wins counts pairs where the change reads "
+                     "better, ties for neither; minor_faults are per-solve medians "
+                     "of each run's solves, then the median over runs",
+        "machine": host,
+        "workloads": workloads,
+    }
+    if args.traced_seed is not None:
+        traced = {}
+        for workload in args.workloads:
+            traced[workload] = {
+                side: traced_entry(recorded_run(args.work, side, checkouts[side],
+                                                workload, args.traced_seed,
+                                                args.seconds, 1))
+                for side in SIDES}
+        bench["traced"] = {
+            "command": COMMAND.format(workload="<w>", seed=args.traced_seed,
+                                      seconds=args.seconds, trace=1),
+            "note": "one traced run per side and workload; per-layer medians of "
+                    "self time per call; minor_faults are the median per solve "
+                    "over the run's rounds",
+            "workloads": traced,
+        }
+    with open(args.out, "w") as fh:
+        json.dump(bench, fh, indent=1)
+        fh.write("\n")
+    for workload, entry in workloads.items():
+        for name, metric in entry["metrics"].items():
+            print(f"{workload:14s} {name:14s} parent {metric['parent']['median']:.4g} "
+                  f"change {metric['change']['median']:.4g} "
+                  f"wins {metric['change_wins']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
