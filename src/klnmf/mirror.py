@@ -9,11 +9,13 @@ same code on one column. Column updates of H are mutually independent given
 W, and are reduced in a fixed summation order, so results never depend on
 any parallel scheduling.
 
-The ratio is formed on the support of V only, in the scratch of the data's
+The ratio is formed in the scratch of the data's
 :class:`~klnmf.objective.KLObjective` (see :func:`support_ratio`), which
-also holds the step constants; the two products stay dense BLAS calls. So a
-sweep makes no elementwise pass over the zeros of V and allocates no m×n
-temporary; the object's scratch makes it unsafe to share across threads.
+also holds the step constants: by one divide over the whole matrix when the
+data is dense, on the support of V only otherwise. The two products stay
+dense BLAS calls. So a sweep on sparse data makes no elementwise pass over
+the zeros of V, and no sweep allocates an m×n temporary; the object's
+scratch makes it unsafe to share across threads.
 A half builds its denominators in place in the one r×n array that its
 gradient product returns; only a half with empty data columns allocates
 anything more, a mask of them.
@@ -50,7 +52,7 @@ def _bmd_half(ratio, L, state, epsilon):
     if denom.min() <= 0:
         k, j = np.argwhere(state.oriented(denom <= 0))[0]
         raise RuntimeError(
-            f"mirror-step denominator {state.oriented(denom)[k, j]!r} at "
+            f"mirror-step denominator {float(state.oriented(denom)[k, j])} at "
             f"{'W' if state.transposed else 'H'} entry ({k}, {j}) is not "
             "positive; internal consistency violated (L must be the column "
             "1-norm)"

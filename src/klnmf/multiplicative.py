@@ -7,11 +7,13 @@ of H are mutually independent given W, and the implementation reduces them
 with a fixed summation order (one matrix product), so results never depend
 on any parallel scheduling.
 
-The ratio is formed on the support of V only, in the scratch of the data's
-:class:`~klnmf.objective.KLObjective` (see :func:`support_ratio`), and the
-two products stay dense BLAS calls. So a sweep makes no elementwise pass
-over the zeros of V and allocates no m×n temporary; the object's scratch
-makes it unsafe to share across threads.
+The ratio is formed in the scratch of the data's
+:class:`~klnmf.objective.KLObjective` (see :func:`support_ratio`): by one
+divide over the whole matrix when the data is dense, on the support of V
+only otherwise. The two products stay dense BLAS calls. So a sweep on
+sparse data makes no elementwise pass over the zeros of V, and no sweep
+allocates an m×n temporary; the object's scratch makes it unsafe to share
+across threads.
 """
 from __future__ import annotations
 

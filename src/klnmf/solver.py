@@ -8,6 +8,7 @@ Five solver kinds sit behind one interface: "mu" (multiplicative updates),
 from __future__ import annotations
 
 import math
+import threading
 import time
 import warnings
 import weakref
@@ -118,21 +119,34 @@ def snmu_step(V, state, epsilon, cycle=(10, 1), inner_repeats: int = 3,
     return state
 
 
-#: The support layout of each data matrix, by matrix. The first Newton run
-#: on a matrix builds it; every later run on it (a bench plan group, the
-#: rounds of a benchmark) shares it. A layout is never written, so runs in
-#: concurrent threads may share it too.
-_LAYOUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: What every run on a data matrix shares, by matrix: the per-matrix fields
+#: of its :class:`KLObjective`, built by the first run on it, and its Newton
+#: support layout, built by the first Newton run on it. Every later run on
+#: the matrix (a bench plan group, the rounds of a benchmark) reuses them and
+#: allocates only its own scratch. Neither is written once built, so runs in
+#: concurrent threads may share them too; the lock makes one thread build.
+_PER_MATRIX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_PER_MATRIX_LOCK = threading.Lock()
 
 
-def _support_layout(matrix: NonnegMatrix, objective: KLObjective) -> SupportLayout:
-    """The :class:`SupportLayout` of ``matrix``, whose :class:`KLObjective`
-    is ``objective``, built on the first call for that matrix."""
-    support = _LAYOUTS.get(matrix)
-    if support is None:
-        support = SupportLayout(matrix.shape, objective.index, objective.values)
-        _LAYOUTS[matrix] = support
-    return support
+def _shared(matrix: NonnegMatrix, name: str, build):
+    """The ``name`` entry of ``matrix``'s shared data, built by ``build()``
+    on the first call for that matrix and name."""
+    with _PER_MATRIX_LOCK:
+        entries = _PER_MATRIX.setdefault(matrix, {})
+        if name not in entries:
+            entries[name] = build()
+        return entries[name]
+
+
+def _run_objective(matrix: NonnegMatrix) -> KLObjective:
+    """A :class:`KLObjective` of ``matrix`` with scratch of its own, on the
+    per-matrix fields that every run on ``matrix`` shares."""
+    # The shared object is itself a copy, since making one computes the
+    # constants of the original: later copies only read the shared one.
+    return _shared(matrix, "objective",
+                   lambda: KLObjective(matrix).with_own_scratch()
+                   ).with_own_scratch()
 
 
 def _make_stepper(config: SolverConfig, matrix: NonnegMatrix,
@@ -149,7 +163,8 @@ def _make_stepper(config: SolverConfig, matrix: NonnegMatrix,
     V = matrix.values
     newton = {"inner_repeats": config.inner_repeats}
     if config.kind in NEWTON_KINDS:
-        support = _support_layout(matrix, objective)
+        support = _shared(matrix, "layout", lambda: SupportLayout(
+            matrix.shape, objective.index, objective.values))
         newton["support"] = support
         newton["constants"] = self_concordant_constants(support)
     steps = {
@@ -196,7 +211,7 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
             "convergence guarantee; use a positive epsilon", stacklevel=2)
 
     state = SolverState.from_factors(W0, H0)
-    objective = KLObjective(instance.V)
+    objective = _run_objective(instance.V)
     obj = objective.of_product(state.WH)
     if not obj.is_finite:
         raise SolverInitError(

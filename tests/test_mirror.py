@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from conftest import random_triple
-from klnmf import (DegenerateInputError, SolverState, bmd_step,
+from klnmf import (DegenerateInputError, KLObjective, SolverState, bmd_step,
                    bmd_update_column, kl_divergence)
 
 
@@ -89,6 +89,7 @@ class TestBmdStep:
 
     def test_step_equals_columnwise_updates(self, rng):
         V, W, H = random_triple(rng, m=5, n=4, r=3)
+        assert KLObjective(V).dense  # the ratio is one whole-matrix divide
         state = SolverState.from_factors(W, H)
         bmd_step(V, state, epsilon=1e-9, h_first=True)
         # replay the H half column by column against the same W
@@ -105,6 +106,7 @@ class TestBmdStep:
         V, W, H = random_triple(rng, m=5, n=4, r=2)
         V[1, :] = 0.0
         V[:, 2] = 0.0
+        assert KLObjective(V).dense  # 60% nonzero
         state = SolverState.from_factors(W, H)
         bmd_step(V, state, epsilon=1e-9)
 
@@ -133,6 +135,12 @@ class TestBmdStep:
         with pytest.raises(RuntimeError, match=r"H entry \(1, 1\)"):
             bmd_step(V, state, 0.0)
         with pytest.raises(RuntimeError, match=r"H entry \(0, 0\)"):
+            bmd_update_column([40.0], [[2.0]], [1.0], L=2.0, epsilon=0.0)
+
+    def test_denominator_error_prints_a_plain_float(self):
+        # g = 2 - 2*40/2 = -38, denom = 1 + 1*(-38)/2 = -18.
+        with pytest.raises(RuntimeError,
+                           match=r"denominator -18\.0 at H entry \(0, 0\)"):
             bmd_update_column([40.0], [[2.0]], [1.0], L=2.0, epsilon=0.0)
 
     def test_zero_data_column_sets_epsilon(self, rng):

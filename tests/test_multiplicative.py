@@ -3,8 +3,9 @@ import pytest
 
 import oracles
 from conftest import random_triple
-from klnmf import (DegenerateInputError, SolverState, kl_divergence,
-                   mu_majorizer, mu_step, mu_update_H, mu_update_W)
+from klnmf import (DegenerateInputError, KLObjective, SolverState,
+                   kl_divergence, mu_majorizer, mu_step, mu_update_H,
+                   mu_update_W)
 
 
 def make_state(W, H):
@@ -35,6 +36,19 @@ class TestMuStep:
             got = mu_update_H(V, W, H, W @ H, epsilon=0.0)
             want = oracles.mu_scalar_form(V, W, H, epsilon=0.0)
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("density", [1.0, 0.6])
+    def test_step_on_dense_data_is_bitwise_the_two_half_updates(self, rng,
+                                                                density):
+        V, W, H = random_triple(rng, m=6, n=5, r=3)
+        V = (V + 0.5) * (rng.random(V.shape) < density)
+        assert KLObjective(V).dense
+        state = make_state(W, H)
+        mu_step(V, state, epsilon=1e-9)
+        want_H = mu_update_H(V, W, H, W @ H, epsilon=1e-9)
+        want_W = mu_update_W(V, W, want_H, W @ want_H, epsilon=1e-9)
+        np.testing.assert_array_equal(state.H, want_H)
+        np.testing.assert_array_equal(state.W, want_W)
 
     def test_monotone_on_random_instances(self, rng):
         for _ in range(30):

@@ -4,8 +4,11 @@ The object holds the support of V, its sums and scratch buffers that every
 ratio and objective evaluation writes into. Reusing it must give bitwise
 what a fresh object gives, leave the ratio buffer zero off the support,
 never write the caller's product, and name error entries as the caller does.
+Its ratio is one whole-matrix divide on dense data and a divide on the
+support otherwise; both must give the bits of the textbook formula.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,3 +133,90 @@ def test_kkt_tol_run_stops_where_the_standalone_residual_does(rng, kind, step):
                           kkt_tol=tol)
     _, trace = run(ProblemInstance(V, 3), Factorization(W0, H0), config)
     assert trace.samples[-1].sweep == stop + 1
+
+
+def textbook_ratio(V, WH):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(V > 0, V / WH, 0.0)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def ratio_cases(rng):
+    """(V, WH) pairs: the densities the benchmark meets, empty lines, full
+    rank and extreme scales."""
+    m, n, r = 9, 7, 3
+    W, H = rng.uniform(0.1, 2.0, (m, r)), rng.uniform(0.1, 2.0, (r, n))
+    V = rng.uniform(0.5, 3.0, (m, n))
+    for density in (1.0, 0.6, 0.08, 0.0):
+        yield V * (rng.random((m, n)) < density), W @ H
+    empty_lines = V * (rng.random((m, n)) < 0.6)
+    empty_lines[2, :] = 0.0
+    empty_lines[:, 4] = 0.0
+    yield empty_lines, W @ H
+    full_rank = min(m, n)
+    yield V, (rng.uniform(0.1, 2.0, (m, full_rank))
+              @ rng.uniform(0.1, 2.0, (full_rank, n)))
+    for scale in (1e-150, 1e150):
+        yield V * scale, (W * scale) @ H
+        yield V * scale, W @ H
+
+
+def test_both_ratio_paths_give_the_textbook_bits(rng):
+    for V, WH in ratio_cases(rng):
+        want = textbook_ratio(V, WH)
+        for dense in (True, False):
+            objective = KLObjective(V)
+            objective.dense = dense
+            assert_same_bits(support_ratio(V, WH, objective), want)
+            # A second call on the same buffer, on another product.
+            assert_same_bits(support_ratio(V, WH * 3.0, objective),
+                             textbook_ratio(V, WH * 3.0))
+
+
+def test_density_rule_picks_the_path_the_benchmark_expects(rng):
+    V = rng.uniform(0.5, 3.0, (20, 20))
+    for density, dense in ((1.0, True), (0.6, True), (0.08, False), (0.0, False)):
+        assert KLObjective(V * (rng.random(V.shape) < density)).dense == dense
+
+
+def test_dense_data_with_product_zero_off_the_support_falls_back(rng):
+    """At epsilon 0 MU zeroes the row of W that meets an empty data row, so
+    the product is 0 there; a whole-matrix divide would make 0/0."""
+    V = rng.uniform(0.5, 3.0, (8, 6))
+    V[3, :] = 0.0
+    objective = KLObjective(V)
+    assert objective.dense
+    state = SolverState.from_factors(rng.uniform(0.2, 1.0, (8, 2)),
+                                     rng.uniform(0.2, 1.0, (2, 6)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mu_step(V, state, 0.0, objective=objective)
+        assert np.all(state.WH[3, :] == 0.0)
+        assert_same_bits(support_ratio(V, state.WH, objective),
+                         textbook_ratio(V, state.WH))
+        mu_step(V, state, 0.0, objective=objective)
+        bmd_step(V, state, 0.0, objective=objective)
+
+
+def test_dense_data_with_product_zero_on_the_support_raises(rng):
+    V = rng.uniform(0.5, 3.0, (5, 4))
+    WH = np.full(V.shape, 2.0)
+    WH[3, 1] = 0.0
+    objective = KLObjective(V)
+    assert objective.dense
+    for target in (objective, None):
+        with pytest.raises(NonDifferentiableError, match=r"\(3, 1\)"):
+            support_ratio(V, WH, target)
+
+def test_nan_product_keeps_the_ratio_zero_off_the_support(rng):
+    V = rng.uniform(0.5, 3.0, (5, 4))
+    V[0, 0] = 0.0
+    WH = np.full(V.shape, 2.0)
+    WH[0, 0] = np.nan
+    objective = KLObjective(V)
+    assert objective.dense
+    assert_same_bits(support_ratio(V, WH, objective), textbook_ratio(V, WH))

@@ -238,6 +238,16 @@ def sparse_instance(rng, m=9, n=7, r=3):
     return instance, init
 
 
+def dense_instance(rng, m=9, n=7, r=3):
+    """Positive Poisson data, whose MU and BMD ratio is one whole-matrix
+    divide, and a positive init."""
+    V = rng.poisson(3.0, size=(m, n)) + 1.0
+    instance = ProblemInstance(V=NonnegMatrix(V), rank=r)
+    init = Factorization(NonnegMatrix(rng.uniform(0.2, 1.0, size=(m, r))),
+                         NonnegMatrix(rng.uniform(0.2, 1.0, size=(r, n))))
+    return instance, init
+
+
 def run_record(instance, init, kind):
     """Final factors and every recorded objective and error, of 6 sweeps."""
     pair, trace = run(instance, init, SolverConfig(kind=kind, max_outer_iters=6))
@@ -288,6 +298,63 @@ class TestSupportLayoutPerMatrix:
         try:
             with ThreadPoolExecutor(max_workers=3) as pool:
                 futures = [pool.submit(run_record, instance, init, kind)
+                           for kind in kinds]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for kind, record in zip(kinds, got):
+            assert_same_record(record, want[kind])
+
+
+class TestObjectivePerMatrix:
+    """Every run on a data matrix shares the per-matrix fields of one
+    KLObjective and allocates only its own scratch."""
+
+    @pytest.mark.parametrize("make", ["sparse", "dense"])
+    def test_second_run_on_a_matrix_is_bitwise_a_fresh_one_and_built_once(
+            self, rng, monkeypatch, make):
+        import klnmf.solver as solver_mod
+        builds = []
+
+        class CountingObjective(solver_mod.KLObjective):
+            def __init__(self, V):
+                builds.append(1)
+                super().__init__(V)
+
+        monkeypatch.setattr(solver_mod, "KLObjective", CountingObjective)
+        instance, init = (sparse_instance(rng) if make == "sparse"
+                          else dense_instance(rng))
+        for kind in ("mu", "bmd", "sn", "snmu", "ccd"):
+            for _ in range(2):
+                fresh = ProblemInstance(NonnegMatrix(instance.V.values.copy()),
+                                        instance.rank)
+                assert_same_record(run_record(instance, init, kind),
+                                   run_record(fresh, init, kind))
+        assert len(builds) == 1 + 10
+
+    def test_shared_fields_are_read_only(self, rng):
+        import klnmf.solver as solver_mod
+        instance, init = dense_instance(rng)
+        run_record(instance, init, "bmd")
+        shared = solver_mod._PER_MATRIX[instance.V]["objective"]
+        for array in (shared.values, *shared.sums):
+            assert not array.flags.writeable
+        assert "ratio" not in vars(shared)
+
+    def test_threads_on_one_instance_share_no_scratch(self, rng):
+        # The threads also race to build the shared data of a new matrix.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        instance, init = dense_instance(rng)
+        kinds = ["mu", "bmd", "snmu", "sn"] * 2
+        want = {kind: run_record(instance, init, kind) for kind in kinds}
+        shared = ProblemInstance(NonnegMatrix(instance.V.values.copy()),
+                                 instance.rank)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run_record, shared, init, kind)
                            for kind in kinds]
                 got = [future.result(timeout=60) for future in futures]
         finally:
