@@ -124,8 +124,8 @@ def cmd_generate(ns) -> int:
     density = 1.0 if ns.density is None else ns.density
     try:
         spec = SyntheticSpec(kind=ns.kind, m=ns.m, n=ns.n,
-                             r_true=ns.rank or 1, density=density,
-                             noise=ns.noise, seed=ns.seed)
+                             r_true=1 if ns.rank is None else ns.rank,
+                             density=density, noise=ns.noise, seed=ns.seed)
     except ValueError as exc:
         flag = "--density" if "density" in str(exc) else "--kind/--m/--n/--rank"
         print(f"error: {exc} (check {flag})", file=sys.stderr)

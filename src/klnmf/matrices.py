@@ -1,11 +1,14 @@
 """Validated dense matrix containers shared by all solvers.
 
 Entries are checked (finite, nonnegative) once at construction; solver
-inner loops operate on plain arrays and never re-validate.
+inner loops operate on plain arrays and never re-validate. A data matrix
+builds its support, the nonzeros every solver reads, once, on first use,
+and every run and thread on the matrix shares it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,10 +49,18 @@ class NonnegMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
+    @cached_property
+    def support(self):
+        """The :class:`~klnmf.objective.Support` of the matrix, built on
+        first use. Two threads may both build it; the builds are equal."""
+        from .objective import Support
+        return Support(self.values)
+
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.values
-        return self.values.astype(dtype)
+        # NumPy 1 never passes copy, and its np.array rejects copy=None.
+        if copy is None:
+            return np.asarray(self.values, dtype=dtype)
+        return np.array(self.values, dtype=dtype, copy=copy)
 
     def __repr__(self):
         return f"NonnegMatrix(shape={self.rows}x{self.cols})"

@@ -10,12 +10,14 @@ W, and are reduced in a fixed summation order, so results never depend on
 any parallel scheduling.
 
 The ratio is formed in the scratch of the data's
-:class:`~klnmf.objective.KLObjective` (see :func:`support_ratio`), which
-also holds the step constants: by one divide over the whole matrix when the
-data is dense, on the support of V only otherwise. The two products stay
-dense BLAS calls. So a sweep on sparse data makes no elementwise pass over
-the zeros of V, and no sweep allocates an m×n temporary; the object's
-scratch makes it unsafe to share across threads.
+:class:`~klnmf.objective.KLObjective` (see :func:`support_ratio`), whose
+support also holds the step constants: by one divide over the whole matrix
+when the data is dense, on the support of V only otherwise. The two
+products stay dense BLAS calls. So a sweep on sparse data makes no
+elementwise pass over the zeros of V, and no sweep allocates an m×n
+temporary. A :class:`~klnmf.matrices.NonnegMatrix` builds its support once,
+on first use, and every run and thread shares it; the scratch is the run's
+own, so one object must not be shared across threads.
 A half builds its denominators in place in the one r×n array that its
 gradient product returns; only a half with empty data columns allocates
 anything more, a mask of them.
@@ -90,11 +92,11 @@ def bmd_step(V, state, epsilon, h_first: bool = True,
     directly: only the linear term remains there, so any feasible value is
     optimal and the choice is deterministic. The objective never increases.
     ``objective`` is the :class:`KLObjective` of V, built here when absent;
-    a run passes its own, and the step constants are its stored sums.
+    a run passes its own, and the step constants are its support's sums.
     """
     if objective is None:
         objective = KLObjective(V)
     for half in state.halves(h_first):
         _bmd_half(half.oriented(support_ratio(V, state.WH, objective)),
-                  objective.sums[half.transposed], half, epsilon)
+                  objective.support.sums[half.transposed], half, epsilon)
     return state

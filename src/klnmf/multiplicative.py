@@ -12,8 +12,9 @@ The ratio is formed in the scratch of the data's
 divide over the whole matrix when the data is dense, on the support of V
 only otherwise. The two products stay dense BLAS calls. So a sweep on
 sparse data makes no elementwise pass over the zeros of V, and no sweep
-allocates an m×n temporary; the object's scratch makes it unsafe to share
-across threads.
+allocates an m×n temporary. A :class:`~klnmf.matrices.NonnegMatrix` builds
+its support once, on first use, and every run and thread shares it; the
+scratch is the run's own, so one object must not be shared across threads.
 """
 from __future__ import annotations
 

@@ -6,7 +6,6 @@ a*log(0) = -inf for a > 0.
 """
 from __future__ import annotations
 
-import copy
 import math
 from functools import cached_property
 from typing import NamedTuple
@@ -14,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateInputError, NonDifferentiableError, ShapeError
-from .matrices import as_matrix_array
+from .matrices import NonnegMatrix, as_matrix_array
 
 #: Relative-error denominators at most this fraction of sum(V) are treated as
 #: degenerate; both scale linearly with V, so the test is scale-free.
@@ -125,29 +124,29 @@ def support_ratio(V: np.ndarray, WH: np.ndarray,
                   objective: "KLObjective | None" = None) -> np.ndarray:
     """V / WH on the support of V, exact zeros elsewhere.
 
-    Raises NonDifferentiableError if WH vanishes where V is positive.
-    ``objective`` is the :class:`KLObjective` of V, built here when absent,
-    and the result is its ``ratio`` buffer, which the next call on the same
-    object overwrites. On dense data (see ``DENSE_RATIO_DENSITY``) whose
-    product is positive everywhere the ratio is one divide over the whole
-    matrix, where 0 / WH is exactly +0.0; otherwise only the support is read
-    and written. Both ways divide each nonzero of V by the same product
-    entry, so they give the same bits.
+    Raises NonDifferentiableError, naming the (i, j) entry, if WH vanishes
+    where V is positive. ``objective`` is the :class:`KLObjective` of V,
+    built here when absent, and the result is its ``ratio`` buffer, which
+    the next call on the same object overwrites. On dense data (see
+    ``DENSE_RATIO_DENSITY``) whose product is positive everywhere the ratio
+    is one divide over the whole matrix, where 0 / WH is exactly +0.0;
+    otherwise only the support is read and written. Both ways divide each
+    nonzero of V by the same product entry, so they give the same bits.
     """
     if objective is None:
         objective = KLObjective(V)
+    support = objective.support
     # min() is NaN, and so not positive, if the product has a NaN.
-    if objective.dense and WH.shape == objective.shape and WH.min() > 0:
-        return np.divide(objective.V, WH, out=objective.ratio)
+    if objective.dense and WH.shape == support.shape and WH.min() > 0:
+        return np.divide(support.V, WH, out=objective.ratio)
     wh = objective.gather(WH)
     if wh.size and wh.min() <= 0:
-        position = objective.index[np.argmax(wh <= 0)]
-        i, j = divmod(int(position), objective.shape[1])
+        i, j = support.caller_entry(np.argmax(wh <= 0))
         raise NonDifferentiableError(
             f"product is 0 at ({i}, {j}) where the data is positive"
         )
-    np.divide(objective.values, wh, out=wh)
-    objective.ratio.reshape(-1)[objective.index] = wh
+    np.divide(support.values, wh, out=wh)
+    objective.ratio.reshape(-1)[support.index] = wh
     return objective.ratio
 
 
@@ -167,7 +166,7 @@ def kl_normalizer(V) -> float:
     This is the denominator used to turn objectives into relative errors; it
     is 0 for row-uniform data, which callers must guard.
     """
-    return KLObjective(V).normalizer
+    return support_of(V).normalizer
 
 
 def relative_error(V, W, H) -> RelativeError:
@@ -181,7 +180,7 @@ def relative_error(V, W, H) -> RelativeError:
     objective = KLObjective(V)
     obj = objective.of_product(W @ H)
     return RelativeError(objective.relative(obj),
-                         obj.is_finite and objective.degenerate_normalizer)
+                         obj.is_finite and objective.support.degenerate_normalizer)
 
 
 def optimal_scale(V, W, H) -> float:
@@ -256,26 +255,48 @@ def perturbation_bound(V, rank: int, epsilon: float) -> float:
     return (min(n + m * rank, m + n * rank) * math.sqrt(nu) + m * n * epsilon) * epsilon
 
 
-class KLObjective:
-    """Precomputed pieces of the objective for one data matrix.
+class _Order(NamedTuple):
+    """The nonzeros in the order one half of a Newton sweep reduces over,
+    indexed in that half's orientation. ``rows`` picks the entry of the W
+    column of a slice. Each entry of a row of H with data owns a contiguous
+    segment of the nonzeros: ``segments`` lists those entries and ``starts``
+    where their segments begin, and ``owners`` gives the position in
+    ``segments`` of each nonzero's entry. ``empty`` lists the entries
+    without data; when there is none (``full``), ``segments`` is every entry
+    in order."""
 
-    The one evaluation of the objective: ``run()`` calls it on its cached
-    product at every sweep without recomputing the support or the
-    normalizer, and :func:`kl_divergence` and :func:`relative_error` call it
-    on a fresh product. ``V`` is the data itself, not a copy; ``index`` is
-    the flat row-major index of its nonzeros and ``values`` their values;
-    the Newton sweeps build their support layout from them. ``sums`` holds
-    the column and the row sums of V, indexed by
-    ``SolverState.transposed``. ``dense`` says whether :func:`support_ratio`
-    may divide over the whole matrix. These per-matrix fields are never
-    written; :meth:`with_own_scratch` shares them with a new object.
+    values: np.ndarray
+    rows: np.ndarray
+    owners: np.ndarray
+    starts: np.ndarray
+    segments: np.ndarray
+    empty: np.ndarray
+    full: bool
 
-    The object also holds scratch, allocated on first use: an nnz-length
-    vector that every product is gathered into, and ``ratio``, the m×n
-    result of :func:`support_ratio`, which stays exactly zero off the
-    support. So an evaluation makes no fresh temporary of either size, a
-    returned ratio is overwritten by the next call, and one object must not
-    be shared across threads.
+
+def _order(values, rows, cols, width):
+    new = np.diff(cols, prepend=-1) != 0
+    starts = np.flatnonzero(new)
+    segments = cols[starts]
+    empty = np.setdiff1d(np.arange(width), segments)
+    return _Order(values, rows, np.cumsum(new) - 1, starts, segments, empty,
+                  empty.size == 0)
+
+
+class Support:
+    """The nonzeros of one data matrix: everything every solver reads of it.
+
+    ``V`` is the data itself, not a copy; ``index`` is the flat row-major
+    index of its nonzeros and ``values`` their values. ``sums`` holds the
+    column and the row sums of V, indexed by ``SolverState.transposed``.
+    ``dense`` says whether :func:`support_ratio` may divide over the whole
+    matrix. Built on first use: the logarithm constants of the objective,
+    and for the Newton sweeps ``by_col``, the position of each nonzero in
+    row-major order listed column by column, and ``orders``.
+
+    Nothing here is written once built and nothing is scratch, so a
+    :class:`~klnmf.matrices.NonnegMatrix` builds its support once and every
+    run and thread on the matrix shares it (see :func:`support_of`).
     """
 
     def __init__(self, V):
@@ -292,34 +313,14 @@ class KLObjective:
         for array in (self.values, *self.sums):
             array.flags.writeable = False
 
-    def with_own_scratch(self) -> "KLObjective":
-        """A new object for the same data, sharing every per-matrix field.
-
-        The constants are computed here first, on the first call, so the new
-        object never computes them again; its scratch is its own. Objects
-        made this way may each be used in a thread of their own.
-        """
-        for name in ("_const", "normalizer", "degenerate_normalizer"):
-            getattr(self, name)
-        twin = copy.copy(self)
-        for name in ("ratio", "_wh"):
-            twin.__dict__.pop(name, None)
-        return twin
-
-    @cached_property
-    def ratio(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
-    @cached_property
-    def _wh(self) -> np.ndarray:
-        return np.empty_like(self.values)
-
     # The constants below take logarithms of the data; they are computed on
-    # first use, so that the steps that build an object for one ratio only
+    # first use, so that the steps that build a support for one ratio only
     # do not pay for them.
 
     @cached_property
-    def _const(self) -> float:
+    def constant(self) -> float:
+        """Sum of V*log(V) - V, the part of the objective that the product
+        does not change."""
         return float(self.values @ np.log(self.values)) - float(self.values.sum())
 
     @cached_property
@@ -331,26 +332,90 @@ class KLObjective:
     def degenerate_normalizer(self) -> bool:
         return abs(self.normalizer) <= NORMALIZER_FLOOR * float(self.values.sum())
 
+    @cached_property
+    def by_col(self) -> np.ndarray:
+        return np.argsort(self.index % self.shape[1], kind="stable")
+
+    @cached_property
+    def orders(self) -> tuple[_Order, _Order]:
+        """The nonzeros ordered for both halves of a Newton sweep, indexed
+        by ``SolverState.transposed``: the H half reads them column by
+        column, the W half row by row."""
+        rows, cols = np.divmod(self.index, self.shape[1])
+        by_col = self.by_col
+        col_values = self.values[by_col]
+        col_values.flags.writeable = False
+        return (_order(col_values, rows[by_col], cols[by_col], self.shape[1]),
+                _order(self.values, cols, rows, self.shape[0]))
+
+    def caller_entry(self, position, in_column_order: bool = False):
+        """(i, j) in V of the nonzero at ``position`` of the row-major order,
+        or of the column order of the H half."""
+        if in_column_order:
+            position = self.by_col[position]
+        i, j = divmod(int(self.index[position]), self.shape[1])
+        return i, j
+
+
+def support_of(V) -> Support:
+    """The :class:`Support` of V: the one a :class:`NonnegMatrix` keeps, or
+    a fresh one for a raw array."""
+    return V.support if isinstance(V, NonnegMatrix) else Support(V)
+
+
+class KLObjective:
+    """The objective of one data matrix, with the scratch to evaluate it in.
+
+    The one evaluation of the objective: ``run()`` calls it on its cached
+    product at every sweep without recomputing the support or the
+    normalizer, and :func:`kl_divergence` and :func:`relative_error` call it
+    on a fresh product. ``support`` is the :class:`Support` of the data,
+    shared by every object made for the same :class:`NonnegMatrix`.
+    ``dense`` starts as the support's choice of ratio path; both paths give
+    the same bits, so setting it only picks the other way to compute them.
+
+    The object itself is scratch, allocated on first use: an nnz-length
+    vector that every product is gathered into, and ``ratio``, the m×n
+    result of :func:`support_ratio`, which stays exactly zero off the
+    support. So an evaluation makes no fresh temporary of either size, a
+    returned ratio is overwritten by the next call, and one object must not
+    be shared across threads; each run makes its own.
+    """
+
+    def __init__(self, V):
+        self.support = support_of(V)
+        self.dense = self.support.dense
+
+    @cached_property
+    def ratio(self) -> np.ndarray:
+        return np.zeros(self.support.shape)
+
+    @cached_property
+    def _wh(self) -> np.ndarray:
+        return np.empty_like(self.support.values)
+
     def gather(self, WH: np.ndarray) -> np.ndarray:
         """WH on the support, written into the object's nnz-length scratch."""
-        if WH.shape != self.shape:
-            raise ShapeError(f"product of shape {WH.shape}, data {self.shape}")
+        support = self.support
+        if WH.shape != support.shape:
+            raise ShapeError(f"product of shape {WH.shape}, data {support.shape}")
         # The index is in range by construction; take(out=) with the default
         # mode="raise" would buffer a fresh copy of its output on every call.
-        return np.take(WH, self.index, out=self._wh, mode="clip")
+        return np.take(WH, support.index, out=self._wh, mode="clip")
 
     def of_product(self, WH: np.ndarray) -> ExtendedObjective:
         wh = self.gather(WH)
         if wh.size and float(wh.min()) <= 0.0:
             return ExtendedObjective.infinite()
-        total = float(WH.sum()) + self._const
+        support = self.support
+        total = float(WH.sum()) + support.constant
         if wh.size:
-            total -= float(self.values @ np.log(wh, out=wh))
+            total -= float(support.values @ np.log(wh, out=wh))
         return ExtendedObjective.finite(total)
 
     def relative(self, objective: ExtendedObjective) -> float:
         if not objective.is_finite:
             return math.inf
-        if self.degenerate_normalizer:
+        if self.support.degenerate_normalizer:
             return objective.value
-        return objective.value / self.normalizer
+        return objective.value / self.support.normalizer

@@ -14,13 +14,15 @@ is exactly the sequential per-scalar loop in slice order; no other
 parallelism is applied. A slice of W is a slice of H run on the transposed
 problem.
 
-Slices read only the support of V. A :class:`SupportLayout`, built once per
-data matrix, lists the nonzeros in the order each half reduces over: column
-by column for H, row by row for W. The derivatives of a slice are then
-per-segment sums (``np.add.reduceat``), and the product is carried on the
-support only, as a vector updated in place and reordered between the
-halves. Each sweep ends by writing the full product once
-(:meth:`SolverState.resync`), so the next step starts from an exact one.
+Slices read only the support of V (:class:`~klnmf.objective.Support`),
+which a :class:`~klnmf.matrices.NonnegMatrix` builds once, on first use,
+and every run and thread shares. Its ``orders`` list the nonzeros in the
+order each half reduces over: column by column for H, row by row for W.
+The derivatives of a slice are then per-segment sums (``np.add.reduceat``),
+and the product is carried on the support only, as a vector updated in
+place and reordered between the halves. Each sweep ends by writing the
+full product once (:meth:`SolverState.resync`), so the next step starts
+from an exact one.
 
 A sweep allocates its scratch once: four nnz-length vectors (the support
 product, the ratio, a work vector and the W column at the nonzeros) and, per
@@ -36,11 +38,11 @@ which does allocate.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonDifferentiableError
+from .objective import KLObjective, support_of
 
 #: Largest Newton decrement for which lam^2 + lam + log(1 - lam) stays
 #: positive, i.e. the largest decrement at which a full step still cannot
@@ -52,69 +54,6 @@ FULL_STEP_LAMBDA = 0.683802
 CCD_PRODUCT_FLOOR = 1e-300
 
 
-class _Order(NamedTuple):
-    """The nonzeros in the order one half reduces over, indexed in that
-    half's orientation. ``rows`` picks the entry of the W column of a slice.
-    Each entry of a row of H with data owns a contiguous segment of the
-    nonzeros: ``segments`` lists those entries and ``starts`` where their
-    segments begin, and ``owners`` gives the position in ``segments`` of
-    each nonzero's entry. ``empty`` lists the entries without data; when
-    there is none (``full``), ``segments`` is every entry in order."""
-
-    values: np.ndarray
-    rows: np.ndarray
-    owners: np.ndarray
-    starts: np.ndarray
-    segments: np.ndarray
-    empty: np.ndarray
-    full: bool
-
-
-def _order(values, rows, cols, width):
-    new = np.diff(cols, prepend=-1) != 0
-    starts = np.flatnonzero(new)
-    segments = cols[starts]
-    empty = np.setdiff1d(np.arange(width), segments)
-    return _Order(values, rows, np.cumsum(new) - 1, starts, segments, empty,
-                  empty.size == 0)
-
-
-class SupportLayout:
-    """The nonzeros of one data matrix, ordered for both halves of a sweep.
-
-    ``index`` is the flat row-major index of the nonzeros and ``values``
-    their values, as :class:`~klnmf.objective.KLObjective` keeps them;
-    ``by_col`` lists, column by column, the position of each nonzero in
-    that row-major order. ``orders`` is indexed by
-    ``SolverState.transposed``: the H half reads the column order, the W
-    half the row order.
-    """
-
-    def __init__(self, shape, index, values):
-        self.shape = shape
-        self.index = index
-        rows, cols = np.divmod(index, shape[1])
-        self.by_col = np.argsort(cols, kind="stable")
-        self.orders = (
-            _order(values[self.by_col], rows[self.by_col], cols[self.by_col],
-                   shape[1]),
-            _order(values, cols, rows, shape[0]),
-        )
-
-    @classmethod
-    def of(cls, V) -> "SupportLayout":
-        V = np.asarray(V, dtype=np.float64)
-        index = np.flatnonzero(V > 0)
-        return cls(V.shape, index, np.take(V, index))
-
-    def caller_entry(self, position, transposed):
-        """(i, j) in V of the nonzero at ``position`` of a half's order."""
-        if not transposed:
-            position = self.by_col[position]
-        i, j = divmod(int(self.index[position]), self.shape[1])
-        return i, j
-
-
 def self_concordant_constants(V) -> tuple[np.ndarray, np.ndarray]:
     """Per-row and per-column curvature constants of the data matrix.
 
@@ -122,10 +61,14 @@ def self_concordant_constants(V) -> tuple[np.ndarray, np.ndarray]:
     1/sqrt(V[i, j]) (used for every entry of row i of W) and c_cols[j] the
     same over positive V[:, j] (for every entry of column j of H). Rows or
     columns with no positive data get 0.0; the constant is never consulted
-    there because the curvature vanishes identically. ``V`` may also be the
-    data's :class:`SupportLayout`, whose segments give the minima.
+    there because the curvature vanishes identically. The segments of the
+    support's orders give the minima; a
+    :class:`~klnmf.matrices.NonnegMatrix` builds them once.
     """
-    support = V if isinstance(V, SupportLayout) else SupportLayout.of(V)
+    return _curvature_constants(support_of(V))
+
+
+def _curvature_constants(support):
     by_cols, by_rows = support.orders
     c_rows, c_cols = np.zeros(support.shape[0]), np.zeros(support.shape[1])
     for c, order in ((c_rows, by_rows), (c_cols, by_cols)):
@@ -226,11 +169,10 @@ def _update_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
 
 
 def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped,
-                  floor, support):
-    if support is None:
-        support = SupportLayout.of(V)
+                  floor, objective):
+    support = support_of(V) if objective is None else objective.support
     if constants is None:
-        constants = self_concordant_constants(support)
+        constants = _curvature_constants(support)
     c_rows, c_cols = constants
     # Support buffers, allocated once per sweep; wh starts in row order. The
     # indices are in range by construction, and take(out=) with the default
@@ -260,8 +202,8 @@ def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped,
                 if floor is not None:
                     np.maximum(wh, floor, out=wh)
                 elif wh.size and wh.min() <= 0:
-                    i, j = support.caller_entry(int(np.argmax(wh <= 0)),
-                                                half.transposed)
+                    i, j = support.caller_entry(np.argmax(wh <= 0),
+                                                not half.transposed)
                     raise NonDifferentiableError(
                         f"cached product is 0 at ({i}, {j}) where the data "
                         "is positive")
@@ -273,21 +215,22 @@ def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped,
 
 
 def sn_sweep(V, state, epsilon, inner_repeats: int = 3, constants=None,
-             h_first: bool = True, support: SupportLayout | None = None):
+             h_first: bool = True, objective: KLObjective | None = None):
     """One safeguarded Newton pass over every entry of H and W, in place.
 
     Each scalar is updated ``inner_repeats`` times with freshly recomputed
     derivatives; the product on the support is adjusted after every change
-    and the full product recomputed at the end. The curvature constants and
-    the support layout may be precomputed once per data matrix and passed
-    in. The objective never increases.
+    and the full product recomputed at the end. The curvature constants may
+    be precomputed once per data matrix and passed in, and ``objective``,
+    the :class:`KLObjective` of V, gives the support; both are built here
+    when absent. The objective never increases.
     """
     return _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first,
-                         damped=True, floor=None, support=support)
+                         damped=True, floor=None, objective=objective)
 
 
 def ccd_sweep(V, state, epsilon, inner_repeats: int = 3, constants=None,
-              h_first: bool = True, support: SupportLayout | None = None):
+              h_first: bool = True, objective: KLObjective | None = None):
     """One plain cyclic Newton pass: always the clamped full step.
 
     The product on the support is floored at CCD_PRODUCT_FLOOR before each
@@ -296,4 +239,5 @@ def ccd_sweep(V, state, epsilon, inner_repeats: int = 3, constants=None,
     monotonicity.
     """
     return _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first,
-                         damped=False, floor=CCD_PRODUCT_FLOOR, support=support)
+                         damped=False, floor=CCD_PRODUCT_FLOOR,
+                         objective=objective)

@@ -8,10 +8,8 @@ Five solver kinds sit behind one interface: "mu" (multiplicative updates),
 from __future__ import annotations
 
 import math
-import threading
 import time
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +19,7 @@ from .matrices import Factorization, NonnegMatrix, ProblemInstance
 from .mirror import bmd_step
 from .multiplicative import mu_step
 from .objective import KLObjective, kkt_residual
-from .scalar_newton import (SupportLayout, ccd_sweep, self_concordant_constants,
-                            sn_sweep)
+from .scalar_newton import ccd_sweep, self_concordant_constants, sn_sweep
 from .state import SolverState
 from .traces import RunTrace, TraceSample
 
@@ -98,7 +95,6 @@ class SolverConfig:
 
 def snmu_step(V, state, epsilon, cycle=(10, 1), inner_repeats: int = 3,
               constants=None, h_first: bool = True, deadline: float = math.inf,
-              support: SupportLayout | None = None,
               objective: KLObjective | None = None):
     """Several safeguarded Newton sweeps followed by multiplicative steps.
 
@@ -107,46 +103,16 @@ def snmu_step(V, state, epsilon, cycle=(10, 1), inner_repeats: int = 3,
     sums. Both components are monotone, so the composite step is too. The
     Newton sweeps stop early once ``time.perf_counter()`` passes
     ``deadline``; the tail still runs. ``objective``, the
-    :class:`KLObjective` of V, goes to the tail.
+    :class:`KLObjective` of V, goes to every sweep.
     """
     for _ in range(cycle[0]):
         sn_sweep(V, state, epsilon, inner_repeats=inner_repeats,
-                 constants=constants, h_first=h_first, support=support)
+                 constants=constants, h_first=h_first, objective=objective)
         if time.perf_counter() >= deadline:
             break
     for _ in range(cycle[1]):
         mu_step(V, state, epsilon, h_first=h_first, objective=objective)
     return state
-
-
-#: What every run on a data matrix shares, by matrix: the per-matrix fields
-#: of its :class:`KLObjective`, built by the first run on it, and its Newton
-#: support layout, built by the first Newton run on it. Every later run on
-#: the matrix (a bench plan group, the rounds of a benchmark) reuses them and
-#: allocates only its own scratch. Neither is written once built, so runs in
-#: concurrent threads may share them too; the lock makes one thread build.
-_PER_MATRIX: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_PER_MATRIX_LOCK = threading.Lock()
-
-
-def _shared(matrix: NonnegMatrix, name: str, build):
-    """The ``name`` entry of ``matrix``'s shared data, built by ``build()``
-    on the first call for that matrix and name."""
-    with _PER_MATRIX_LOCK:
-        entries = _PER_MATRIX.setdefault(matrix, {})
-        if name not in entries:
-            entries[name] = build()
-        return entries[name]
-
-
-def _run_objective(matrix: NonnegMatrix) -> KLObjective:
-    """A :class:`KLObjective` of ``matrix`` with scratch of its own, on the
-    per-matrix fields that every run on ``matrix`` shares."""
-    # The shared object is itself a copy, since making one computes the
-    # constants of the original: later copies only read the shared one.
-    return _shared(matrix, "objective",
-                   lambda: KLObjective(matrix).with_own_scratch()
-                   ).with_own_scratch()
 
 
 def _make_stepper(config: SolverConfig, matrix: NonnegMatrix,
@@ -155,26 +121,22 @@ def _make_stepper(config: SolverConfig, matrix: NonnegMatrix,
 
     The step functions are looked up in this module each time the stepper
     runs, so that patching ``klnmf.solver.sn_sweep`` and the like reaches it.
-    Every kind reads the data through the run's objective: MU, BMD and the
-    MU tail of snmu form their ratio in its scratch, and the Newton kinds
-    get the support layout of the matrix, built once per matrix, and the
-    curvature constants, which take one pass over that layout per run.
+    Every kind reads the data through the run's objective, whose support
+    the matrix builds once: MU, BMD and the MU tail of snmu form their ratio
+    in its scratch, and the Newton kinds read the support's orders and get
+    the curvature constants, which take one pass over those orders per run.
     """
     V = matrix.values
-    newton = {"inner_repeats": config.inner_repeats}
+    newton = {"inner_repeats": config.inner_repeats, "objective": objective}
     if config.kind in NEWTON_KINDS:
-        support = _shared(matrix, "layout", lambda: SupportLayout(
-            matrix.shape, objective.index, objective.values))
-        newton["support"] = support
-        newton["constants"] = self_concordant_constants(support)
+        newton["constants"] = self_concordant_constants(matrix)
     steps = {
         "mu": lambda state: mu_step(V, state, epsilon, objective=objective),
         "bmd": lambda state: bmd_step(V, state, epsilon, objective=objective),
         "sn": lambda state: sn_sweep(V, state, epsilon, **newton),
         "ccd": lambda state: ccd_sweep(V, state, epsilon, **newton),
         "snmu": lambda state: snmu_step(V, state, epsilon, cycle=config.snmu_cycle,
-                                        deadline=deadline, objective=objective,
-                                        **newton),
+                                        deadline=deadline, **newton),
     }
     return steps[config.kind]
 
@@ -211,7 +173,7 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
             "convergence guarantee; use a positive epsilon", stacklevel=2)
 
     state = SolverState.from_factors(W0, H0)
-    objective = _run_objective(instance.V)
+    objective = KLObjective(instance.V)
     obj = objective.of_product(state.WH)
     if not obj.is_finite:
         raise SolverInitError(

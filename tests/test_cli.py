@@ -51,6 +51,14 @@ class TestGenerate:
         assert code == 1
         assert "--density" in stderr
 
+    def test_zero_rank_exits_one_naming_r_true(self, tmp_path, capsys):
+        code, _, stderr = run_cli(
+            capsys, "generate", "--kind", "low-rank", "--m", "4", "--n", "4",
+            "--rank", "0", "--out", str(tmp_path / "v.mtx"))
+        assert code == 1
+        assert "r_true" in stderr
+        assert not (tmp_path / "v.mtx").exists()
+
     def test_density_with_full_rank_contradicts(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys, "generate", "--kind", "full-rank", "--m", "4", "--n", "4",

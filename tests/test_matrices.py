@@ -36,6 +36,15 @@ class TestNonnegMatrix:
         src[0, 0] = 7.0
         assert m.values[0, 0] == 1.0
 
+    def test_array_copies_only_when_asked(self):
+        m = NonnegMatrix([[1.0, 0.0], [2.5, 3.0]])
+        copied = np.array(m)
+        assert copied.flags.writeable
+        assert not np.shares_memory(copied, m.values)
+        np.testing.assert_array_equal(copied, m.values)
+        assert np.shares_memory(np.asarray(m), m.values)
+        assert np.shares_memory(np.asarray(m, dtype=np.float64), m.values)
+
 
 class TestProblemInstance:
     def test_rank_bounds(self):

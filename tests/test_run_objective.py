@@ -1,7 +1,7 @@
-"""MU and BMD read the data through one KLObjective per run.
+"""Every step reads the data through one KLObjective per run.
 
-The object holds the support of V, its sums and scratch buffers that every
-ratio and objective evaluation writes into. Reusing it must give bitwise
+The object holds the support of V and scratch buffers that every ratio and
+objective evaluation writes into. Reusing it must give bitwise
 what a fresh object gives, leave the ratio buffer zero off the support,
 never write the caller's product, and name error entries as the caller does.
 Its ratio is one whole-matrix divide on dense data and a divide on the
@@ -20,9 +20,10 @@ from klnmf import (Factorization, NonDifferentiableError, ProblemInstance,
                    SolverConfig, SolverState, bmd_step, kkt_residual, mu_step,
                    run)
 from klnmf.objective import KLObjective, support_ratio
-from klnmf.solver import snmu_step
+from klnmf.solver import ccd_sweep, sn_sweep, snmu_step
 
-STEPS = {"mu": mu_step, "bmd": bmd_step, "snmu": snmu_step}
+STEPS = {"mu": mu_step, "bmd": bmd_step, "snmu": snmu_step, "sn": sn_sweep,
+         "ccd": ccd_sweep}
 
 
 def empty_line_triple(rng):
@@ -52,7 +53,7 @@ def test_per_run_objective_is_bitwise_the_fresh_one(rng, name, h_first):
 
 
 @pytest.mark.parametrize("h_first", [True, False])
-@pytest.mark.parametrize("step", [mu_step, bmd_step])
+@pytest.mark.parametrize("step", [mu_step, bmd_step, sn_sweep])
 def test_per_run_error_names_caller_entry(step, h_first):
     V, state = zero_product_at_0_2()
     with pytest.raises(NonDifferentiableError, match=r"\(0, 2\)"):

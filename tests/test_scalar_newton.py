@@ -8,7 +8,7 @@ from conftest import random_triple
 from klnmf import (FULL_STEP_LAMBDA, NonDifferentiableError, SolverState,
                    ccd_sweep, kl_divergence, self_concordant_constants,
                    sn_sweep, sn_update_scalar)
-from klnmf.scalar_newton import SupportLayout
+from klnmf.objective import Support
 
 
 def damped_margin(lam):
@@ -256,7 +256,7 @@ class TestSweeps:
                 sparse_triple: (False, False)}
         for make, want in full.items():
             V, W, H = make(rng)
-            assert tuple(order.full for order in SupportLayout.of(V).orders) == want
+            assert tuple(order.full for order in Support(V).orders) == want
         V, W, H = damped_triple(rng)
         kinds = []
         sequential_sweep(V, W, H, 0.0, 1, True, kinds)

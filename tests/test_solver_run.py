@@ -262,20 +262,20 @@ def assert_same_record(got, want):
 
 
 class TestSupportLayoutPerMatrix:
-    """The Newton kinds build the support layout of a data matrix once, and
-    every later run on it reuses it."""
+    """The Newton kinds lay out the support of a data matrix (its orders)
+    once, and every later run on it reuses them."""
 
     def test_reused_layout_is_bitwise_a_fresh_one_and_built_once(
             self, rng, monkeypatch):
-        import klnmf.solver as solver_mod
+        import klnmf.objective as objective_mod
         builds = []
+        order = objective_mod._order
 
-        class CountingLayout(solver_mod.SupportLayout):
-            def __init__(self, *args):
-                builds.append(1)
-                super().__init__(*args)
+        def counting_order(*args):
+            builds.append(1)
+            return order(*args)
 
-        monkeypatch.setattr(solver_mod, "SupportLayout", CountingLayout)
+        monkeypatch.setattr(objective_mod, "_order", counting_order)
         instance, init = sparse_instance(rng)
         for kind in ("sn", "snmu", "ccd"):
             for _ in range(2):
@@ -283,7 +283,8 @@ class TestSupportLayoutPerMatrix:
                                         instance.rank)
                 assert_same_record(run_record(instance, init, kind),
                                    run_record(fresh, init, kind))
-        assert len(builds) == 1 + 6
+        # Two orders, one per half, for each matrix.
+        assert len(builds) == 2 * (1 + 6)
 
     def test_threads_on_one_instance_share_nothing_they_write(self, rng):
         # More threads than cores and a short switch interval, so that runs
@@ -307,21 +308,21 @@ class TestSupportLayoutPerMatrix:
 
 
 class TestObjectivePerMatrix:
-    """Every run on a data matrix shares the per-matrix fields of one
-    KLObjective and allocates only its own scratch."""
+    """Every run on a data matrix shares the one Support that the matrix
+    builds, and allocates only its own scratch."""
 
     @pytest.mark.parametrize("make", ["sparse", "dense"])
     def test_second_run_on_a_matrix_is_bitwise_a_fresh_one_and_built_once(
             self, rng, monkeypatch, make):
-        import klnmf.solver as solver_mod
+        import klnmf.objective as objective_mod
         builds = []
 
-        class CountingObjective(solver_mod.KLObjective):
+        class CountingSupport(objective_mod.Support):
             def __init__(self, V):
                 builds.append(1)
                 super().__init__(V)
 
-        monkeypatch.setattr(solver_mod, "KLObjective", CountingObjective)
+        monkeypatch.setattr(objective_mod, "Support", CountingSupport)
         instance, init = (sparse_instance(rng) if make == "sparse"
                           else dense_instance(rng))
         for kind in ("mu", "bmd", "sn", "snmu", "ccd"):
@@ -333,13 +334,14 @@ class TestObjectivePerMatrix:
         assert len(builds) == 1 + 10
 
     def test_shared_fields_are_read_only(self, rng):
-        import klnmf.solver as solver_mod
         instance, init = dense_instance(rng)
-        run_record(instance, init, "bmd")
-        shared = solver_mod._PER_MATRIX[instance.V]["objective"]
-        for array in (shared.values, *shared.sums):
+        for kind in ("bmd", "sn"):
+            run_record(instance, init, kind)
+        shared = instance.V.support
+        for array in (shared.values, *shared.sums,
+                      *(order.values for order in shared.orders)):
             assert not array.flags.writeable
-        assert "ratio" not in vars(shared)
+        assert not {"ratio", "_wh"} & set(vars(shared))
 
     def test_threads_on_one_instance_share_no_scratch(self, rng):
         # The threads also race to build the shared data of a new matrix.
