@@ -24,7 +24,7 @@ from .benchstats import performance_profile, ranking_vectors, summary_stats
 from .errors import MatrixFileError, SolverInitError
 from .matrices import ProblemInstance
 from .matrixio import load_matrix, save_matrix
-from .objective import kkt_residual
+from .objective import KLObjective, kkt_residual
 from .solver import SOLVER_KINDS, SolverConfig, run
 from .synthetic import SyntheticSpec, gen_full_rank, gen_low_rank, poissonize
 from .synthetic import init_random_scaled
@@ -191,11 +191,16 @@ def cmd_solve(ns) -> int:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     wall = time.perf_counter() - started
-    final = trace.samples[-1]
-    residual = kkt_residual(V.values, pair.W.values, pair.H.values,
-                            config.resolved_epsilon())
-    print(f"objective={_fmt(final.objective.as_float())} "
-          f"rel_error={_fmt(trace.best_error)} "
+    # Every figure describes the returned (best) iterate; for ccd the last
+    # sweep may have ended above it.
+    W, H = pair.W.values, pair.H.values
+    objective = KLObjective(V)
+    WH = W @ H
+    final = objective.of_product(WH)
+    residual = kkt_residual(V.values, W, H, config.resolved_epsilon(),
+                            objective, WH)
+    print(f"objective={_fmt(final.as_float())} "
+          f"rel_error={_fmt(objective.relative(final))} "
           f"kkt_residual={_fmt(residual)} wall_s={wall:.3f} "
           f"sweeps={trace.samples[-1].sweep}")
     if ns.out_factors:

@@ -28,6 +28,17 @@ NORMALIZER_FLOOR = 1e-12
 #: (at 0.9 by 3.6x on 200x200), and at 0.05 the gather is (by 3x).
 DENSE_RATIO_DENSITY = 0.3
 
+#: Data with at least this share of nonzeros is dense for the Newton slices
+#: of :mod:`klnmf.scalar_newton`: each slice divides over the whole matrix
+#: and reduces with BLAS matrix-vector products. Sparser data keeps the
+#: slices on its support. With one BLAS thread on a 2-vCPU x86-64 VM, an sn
+#: sweep costs the same both ways between densities 0.55 and 0.65, on
+#: 200x200 rank 10 and on 600x400 rank 5: the whole-matrix sweep takes
+#: 1.09-1.14 times as long at 0.55, 0.68-0.83 times at 0.65 and 0.57-0.70
+#: times at 0.85. On 20x20 to 40x30 rank 4 the two ways cost about the same
+#: at every density.
+DENSE_SLICE_DENSITY = 0.6
+
 
 class ExtendedObjective:
     """KL objective value in [0, +inf] with the infinite state explicit.
@@ -290,9 +301,13 @@ class Support:
     index of its nonzeros and ``values`` their values. ``sums`` holds the
     column and the row sums of V, indexed by ``SolverState.transposed``.
     ``dense`` says whether :func:`support_ratio` may divide over the whole
-    matrix. Built on first use: the logarithm constants of the objective,
-    and for the Newton sweeps ``by_col``, the position of each nonzero in
-    row-major order listed column by column, and ``orders``.
+    matrix, and ``dense_slices`` whether the Newton slices do. Built on
+    first use: the logarithm constants of the objective; for the Newton
+    sweeps ``by_col``, the position of each nonzero in row-major order
+    listed column by column, and ``orders``, which give every sweep its
+    curvature constants and the slices on sparse data their layout; and for
+    the slices on dense data ``contiguous``, which adds a read-only
+    C-contiguous copy of V.T (and of V, when V itself is not C-contiguous).
 
     Nothing here is written once built and nothing is scratch, so a
     :class:`~klnmf.matrices.NonnegMatrix` builds its support once and every
@@ -331,6 +346,25 @@ class Support:
     @cached_property
     def degenerate_normalizer(self) -> bool:
         return abs(self.normalizer) <= NORMALIZER_FLOOR * float(self.values.sum())
+
+    @property
+    def dense_slices(self) -> bool:
+        """Whether the Newton slices run over the whole matrix (see
+        ``DENSE_SLICE_DENSITY``)."""
+        return (self.index.size > 0
+                and self.index.size >= DENSE_SLICE_DENSITY * self.V.size)
+
+    @cached_property
+    def contiguous(self) -> tuple[np.ndarray, np.ndarray]:
+        """V and V.T, each C-contiguous, indexed by
+        ``SolverState.transposed``: the data of the two halves of a dense
+        Newton sweep. Each is V, or a view of it, when V already has that
+        layout, and a copy otherwise; all but V itself are read-only."""
+        contiguous = tuple(np.ascontiguousarray(A) for A in (self.V, self.V.T))
+        for A in contiguous:
+            if A is not self.V:
+                A.flags.writeable = False
+        return contiguous
 
     @cached_property
     def by_col(self) -> np.ndarray:
@@ -375,11 +409,13 @@ class KLObjective:
     the same bits, so setting it only picks the other way to compute them.
 
     The object itself is scratch, allocated on first use: an nnz-length
-    vector that every product is gathered into, and ``ratio``, the m×n
-    result of :func:`support_ratio`, which stays exactly zero off the
-    support. So an evaluation makes no fresh temporary of either size, a
-    returned ratio is overwritten by the next call, and one object must not
-    be shared across threads; each run makes its own.
+    vector that every product is gathered into; ``ratio``, the m×n result of
+    :func:`support_ratio`, which stays exactly zero off the support; and
+    ``slice_scratch``, two m·n buffers of the Newton slices on dense data,
+    which do not keep that property. So an evaluation makes no fresh
+    temporary of either size, a returned ratio is overwritten by the next
+    call, and one object must not be shared across threads; each run makes
+    its own.
     """
 
     def __init__(self, V):
@@ -393,6 +429,12 @@ class KLObjective:
     @cached_property
     def _wh(self) -> np.ndarray:
         return np.empty_like(self.support.values)
+
+    @cached_property
+    def slice_scratch(self) -> np.ndarray:
+        """Two m·n buffers for the dense Newton slices: their ratio, and
+        the product of a W half, copied in C order."""
+        return np.empty((2, self.support.V.size))
 
     def gather(self, WH: np.ndarray) -> np.ndarray:
         """WH on the support, written into the object's nnz-length scratch."""

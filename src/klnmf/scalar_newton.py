@@ -14,26 +14,43 @@ is exactly the sequential per-scalar loop in slice order; no other
 parallelism is applied. A slice of W is a slice of H run on the transposed
 problem.
 
-Slices read only the support of V (:class:`~klnmf.objective.Support`),
-which a :class:`~klnmf.matrices.NonnegMatrix` builds once, on first use,
-and every run and thread shares. Its ``orders`` list the nonzeros in the
-order each half reduces over: column by column for H, row by row for W.
-The derivatives of a slice are then per-segment sums (``np.add.reduceat``),
-and the product is carried on the support only, as a vector updated in
-place and reordered between the halves. Each sweep ends by writing the
-full product once (:meth:`SolverState.resync`), so the next step starts
-from an exact one.
+A slice takes one of two paths, picked per sweep from the density of V
+(``DENSE_SLICE_DENSITY`` in :mod:`klnmf.objective`); both share the target,
+damping and flat-entry rule (:func:`_newton_targets`), and each sweep ends
+by writing the full product once (:meth:`SolverState.resync`), so the next
+step starts from an exact one.
 
-A sweep allocates its scratch once: four nnz-length vectors (the support
-product, the ratio, a work vector and the W column at the nonzeros) and, per
-half, six buffers with one entry per entry of a row of that half's H with
-data (the derivatives f1 and f2, the targets, the decrements, the steps and
-the row's own entries there). A slice computes on those entries only; an
-entry without data has no curvature and is set directly. So a slice writes
-only into this scratch, H and the product on the support: it allocates
-nothing and makes about twenty NumPy calls. Only a slice with a damped step,
-or with vanishing curvature at an entry with data, takes a masked path,
-which does allocate.
+On sparse data a slice reads only the support of V
+(:class:`~klnmf.objective.Support`), which a
+:class:`~klnmf.matrices.NonnegMatrix` builds once, on first use, and every
+run and thread shares. Its ``orders`` list the nonzeros in the order each
+half reduces over: column by column for H, row by row for W. The
+derivatives of a slice are then per-segment sums (``np.add.reduceat``), and
+the product is carried on the support only, as a vector updated in place
+and reordered between the halves. Such a sweep allocates four nnz-length
+vectors (the support product, the ratio, a work vector and the W column at
+the nonzeros) and, per half, six buffers with one entry per entry of a row
+of that half's H with data (the derivatives f1 and f2, the targets, the
+decrements, the steps and the row's own entries there). A slice computes on
+those entries only; an entry without data has no curvature and is set
+directly.
+
+On dense data a slice works on the whole matrix: R = V/WH is one divide,
+f1 = colsum - w·R one BLAS matrix-vector product, R/WH a second divide in
+place and f2 = (w∘w)·R a second product; then WH += w ⊗ step. Every entry
+of the row is updated, an entry without data by the flat rule. Both halves
+run this on C-contiguous arrays: V.T is kept on the support, and the W half
+copies WH.T into scratch at its start and back at its end. The two m·n
+buffers (the ratio and that copy) are the run's
+:class:`~klnmf.objective.KLObjective` scratch; per half, a sweep allocates
+the W column, its square and five buffers with one entry per entry of a row
+of H (f1, f2, the targets, the decrements and the steps).
+
+On either path a slice writes only into this scratch, H and the product,
+and makes about twenty NumPy calls. Only a slice with a damped step, or
+with vanishing curvature at an entry with data, takes a masked path, which
+does allocate; so does a dense sn slice whose product has turned 0 off the
+support (see :func:`_dense_halves`).
 """
 from __future__ import annotations
 
@@ -98,43 +115,13 @@ def sn_update_scalar(x, f1, f2, c, epsilon) -> float:
     return float(x + d / (1.0 + lam))
 
 
-def _update_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
-                  work, scratch):
-    """Newton update of ``x``, row k of a half's H (a view written in
-    place), with the support product ``wh`` adjusted in place.
-
-    ``order`` is the half's order of the nonzeros, ``colsum`` the sum of
-    column k of W and ``w`` that column at the half's nonzeros; ``ratio``
-    and ``work`` are nnz-length scratch. ``scratch`` holds the half's
-    buffers, one entry per entry of x with data, and ``c`` the curvature
-    constants of those entries (see :func:`_newton_sweep`). The caller
-    keeps ``wh`` positive: with ``floor`` set it has clamped it, and V/WH^2
-    is capped here so a floored product cannot overflow to inf (which would
-    poison the sums with 0 * inf). Every value is computed by the same
-    operations, in the same order, as the scalar rule of
-    :func:`sn_update_scalar`.
-
-    An entry without data has f1 = colsum and f2 = 0: it moves to epsilon
-    when colsum > 0 and stays put otherwise, and leaves the product alone.
+def _newton_targets(xs, f1, f2, c, epsilon, damped, s, lam, step):
+    """Targets ``s`` and steps ``step = s - xs`` of the entries ``xs`` from
+    their derivatives ``f1`` and ``f2``, by the same operations, in the same
+    order, as the scalar rule of :func:`sn_update_scalar`; without
+    ``damped``, the clamped full step. Both slice paths call this. ``lam``
+    is scratch, and a damped rule overwrites ``f2``.
     """
-    f1, f2, s, lam, step, xs = scratch
-    if order.full:
-        xs = x
-    else:
-        np.take(x, order.segments, out=xs, mode="clip")
-    np.divide(order.values, wh, out=ratio)
-    np.multiply(ratio, w, out=work)
-    np.add.reduceat(work, order.starts, out=f1)
-    np.subtract(colsum, f1, out=f1)
-    if floor is None:
-        np.divide(work, wh, out=ratio)
-    else:
-        with np.errstate(over="ignore"):
-            np.divide(ratio, wh, out=ratio)
-        np.minimum(ratio, 1e300, out=ratio)
-        ratio *= w
-    ratio *= w
-    np.add.reduceat(ratio, order.starts, out=f2)
     # Clamped Newton targets. Where the curvature vanishes (or is NaN) the
     # restriction is linear: move to the bound when it increases, else stay.
     if f2.size and f2.min() > 0:
@@ -157,6 +144,49 @@ def _update_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
             full = (f1 <= 0) | (lam <= FULL_STEP_LAMBDA)
             s[...] = np.where(full, s, xs + step / (1.0 + lam))
             np.subtract(s, xs, out=step)
+
+
+def _zero_product(i, j):
+    return NonDifferentiableError(
+        f"cached product is 0 at ({i}, {j}) where the data is positive")
+
+
+def _support_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
+                   work, scratch):
+    """Newton update of ``x``, row k of a half's H (a view written in
+    place), with the support product ``wh`` adjusted in place.
+
+    ``order`` is the half's order of the nonzeros, ``colsum`` the sum of
+    column k of W and ``w`` that column at the half's nonzeros; ``ratio``
+    and ``work`` are nnz-length scratch. ``scratch`` holds the half's
+    buffers, one entry per entry of x with data, and ``c`` the curvature
+    constants of those entries (see :func:`_support_halves`). The caller
+    keeps ``wh`` positive: with ``floor`` set it has clamped it, and V/WH^2
+    is capped here so a floored product cannot overflow to inf (which would
+    poison the sums with 0 * inf).
+
+    An entry without data has f1 = colsum and f2 = 0: it moves to epsilon
+    when colsum > 0 and stays put otherwise, and leaves the product alone.
+    """
+    f1, f2, s, lam, step, xs = scratch
+    if order.full:
+        xs = x
+    else:
+        np.take(x, order.segments, out=xs, mode="clip")
+    np.divide(order.values, wh, out=ratio)
+    np.multiply(ratio, w, out=work)
+    np.add.reduceat(work, order.starts, out=f1)
+    np.subtract(colsum, f1, out=f1)
+    if floor is None:
+        np.divide(work, wh, out=ratio)
+    else:
+        with np.errstate(over="ignore"):
+            np.divide(ratio, wh, out=ratio)
+        np.minimum(ratio, 1e300, out=ratio)
+        ratio *= w
+    ratio *= w
+    np.add.reduceat(ratio, order.starts, out=f2)
+    _newton_targets(xs, f1, f2, c, epsilon, damped, s, lam, step)
     if order.full:
         np.copyto(x, s)
     else:
@@ -168,11 +198,8 @@ def _update_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
     wh += work
 
 
-def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped,
-                  floor, objective):
-    support = support_of(V) if objective is None else objective.support
-    if constants is None:
-        constants = _curvature_constants(support)
+def _support_halves(support, state, constants, epsilon, inner_repeats,
+                    h_first, damped, floor):
     c_rows, c_cols = constants
     # Support buffers, allocated once per sweep; wh starts in row order. The
     # indices are in range by construction, and take(out=) with the default
@@ -202,14 +229,99 @@ def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped,
                 if floor is not None:
                     np.maximum(wh, floor, out=wh)
                 elif wh.size and wh.min() <= 0:
-                    i, j = support.caller_entry(np.argmax(wh <= 0),
-                                                not half.transposed)
-                    raise NonDifferentiableError(
-                        f"cached product is 0 at ({i}, {j}) where the data "
-                        "is positive")
-                _update_slice(order, x, colsum, c, epsilon, damped, floor, w,
-                              wh, ratio, work, scratch)
+                    raise _zero_product(*support.caller_entry(
+                        np.argmax(wh <= 0), not half.transposed))
+                _support_slice(order, x, colsum, c, epsilon, damped, floor, w,
+                               wh, ratio, work, scratch)
         half.H.sum(axis=1, out=half.row_sums_H)
+
+
+def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor, w, ww,
+                 scratch):
+    """Newton update of ``x``, row k of a half's H (a view written in
+    place), with the whole product ``WH`` adjusted in place.
+
+    ``V`` and ``WH`` are C-contiguous, in the half's orientation, and ``R``
+    is scratch of their shape. ``w`` is column k of W, ``ww`` its square,
+    ``colsum`` its sum and ``c`` the curvature constants of every entry of
+    x; ``scratch`` holds f1, f2, s, lam and step, one entry per entry of x.
+    The caller keeps ``WH`` positive (see :func:`_dense_halves`). An entry
+    without data has f1 = colsum and f2 = 0, so the flat rule sets it as the
+    support path does.
+    """
+    f1, f2, s, lam, step = scratch
+    np.divide(V, WH, out=R)
+    np.matmul(w, R, out=f1)
+    np.subtract(colsum, f1, out=f1)
+    if floor is None:
+        np.divide(R, WH, out=R)
+    else:
+        with np.errstate(over="ignore"):
+            np.divide(R, WH, out=R)
+        np.minimum(R, 1e300, out=R)
+    np.matmul(ww, R, out=f2)
+    _newton_targets(x, f1, f2, c, epsilon, damped, s, lam, step)
+    np.copyto(x, s)
+    np.multiply.outer(w, step, out=R)
+    WH += R
+
+
+def _dense_halves(support, objective, state, constants, epsilon,
+                  inner_repeats, h_first, damped, floor):
+    """Both halves on the whole matrix. A product entry off the support
+    only ever divides a zero of V. Where the sn product is not positive
+    there (at epsilon 0, W @ H can be exactly 0 where V is), it is set to
+    +inf, which divides 0 to 0 and stays +inf under every later step, so a
+    slice never computes 0 / 0; on the support it raises as the support path
+    does. ccd floors every entry instead. The full product is recomputed at
+    the end of the sweep either way.
+    """
+    c_rows, c_cols = constants
+    ratio, product = objective.slice_scratch
+    for half in state.halves(h_first):
+        V = support.contiguous[half.transposed]
+        R = ratio.reshape(V.shape)
+        WH = half.WH
+        if not WH.flags.c_contiguous:
+            WH = product.reshape(V.shape)
+            np.copyto(WH, half.WH)
+        c = c_rows if half.transposed else c_cols
+        w, ww = np.empty((2, V.shape[0]))
+        scratch = tuple(np.empty((5, V.shape[1])))
+        for k in range(half.H.shape[0]):
+            np.copyto(w, half.W[:, k])
+            np.multiply(w, w, out=ww)
+            x, colsum = half.H[k], half.col_sums_W[k]
+            for _ in range(inner_repeats):
+                if floor is not None:
+                    np.maximum(WH, floor, out=WH)
+                elif not WH.min() > 0:
+                    zero = (WH <= 0) & (V > 0)
+                    if zero.any():
+                        i, j = np.unravel_index(np.argmax(zero), V.shape)
+                        raise _zero_product(*((j, i) if half.transposed
+                                              else (i, j)))
+                    WH[(WH <= 0) & (V == 0)] = np.inf
+                _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor,
+                             w, ww, scratch)
+        if WH is not half.WH:
+            np.copyto(half.WH, WH)
+        half.H.sum(axis=1, out=half.row_sums_H)
+
+
+def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped,
+                  floor, objective):
+    if objective is None:
+        objective = KLObjective(V)
+    support = objective.support
+    if constants is None:
+        constants = _curvature_constants(support)
+    if support.dense_slices:
+        _dense_halves(support, objective, state, constants, epsilon,
+                      inner_repeats, h_first, damped, floor)
+    else:
+        _support_halves(support, state, constants, epsilon, inner_repeats,
+                        h_first, damped, floor)
     state.resync()
     return state
 
@@ -219,11 +331,12 @@ def sn_sweep(V, state, epsilon, inner_repeats: int = 3, constants=None,
     """One safeguarded Newton pass over every entry of H and W, in place.
 
     Each scalar is updated ``inner_repeats`` times with freshly recomputed
-    derivatives; the product on the support is adjusted after every change
-    and the full product recomputed at the end. The curvature constants may
-    be precomputed once per data matrix and passed in, and ``objective``,
-    the :class:`KLObjective` of V, gives the support; both are built here
-    when absent. The objective never increases.
+    derivatives; the cached product (on the support of sparse data) is
+    adjusted after every change and the full product recomputed at the end.
+    The curvature constants may be precomputed once per data matrix and
+    passed in, and ``objective``, the :class:`KLObjective` of V, gives the
+    support and the scratch; both are built here when absent. The objective
+    never increases.
     """
     return _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first,
                          damped=True, floor=None, objective=objective)
@@ -233,8 +346,8 @@ def ccd_sweep(V, state, epsilon, inner_repeats: int = 3, constants=None,
               h_first: bool = True, objective: KLObjective | None = None):
     """One plain cyclic Newton pass: always the clamped full step.
 
-    The product on the support is floored at CCD_PRODUCT_FLOOR before each
-    slice so incremental updates can never produce NaN derivatives. The
+    The cached product is floored at CCD_PRODUCT_FLOOR before each slice so
+    incremental updates can never produce NaN derivatives. The
     objective may increase; callers track it rather than asserting
     monotonicity.
     """

@@ -1,5 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+
+from klnmf import objective
+
+#: Values of DENSE_SLICE_DENSITY that send every Newton sweep down one slice
+#: path: the support path never counts data as dense, the dense path always.
+SLICE_PATHS = {"support": math.inf, "dense": 0.0}
 
 
 @pytest.fixture
@@ -16,3 +24,10 @@ def random_triple(rng, m=None, n=None, r=None, positive=True):
     H = rng.uniform(0.1 if positive else 0.0, 2.0, size=(r, n))
     V = rng.uniform(0.0, 3.0, size=(m, n))
     return V, W, H
+
+
+def each_slice_path(monkeypatch):
+    """Force each Newton slice path in turn, yielding its name."""
+    for name, density in SLICE_PATHS.items():
+        monkeypatch.setattr(objective, "DENSE_SLICE_DENSITY", density)
+        yield name

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from klnmf import load_matrix, save_matrix
+from klnmf import load_matrix, read_traces, save_matrix
 from klnmf.cli import main
+from klnmf.synthetic import SyntheticSpec, generate
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +90,26 @@ class TestSolve:
         W = load_matrix(tmp_path / "fac.W.mtx")
         assert W.shape == (8, 2)
         assert (tmp_path / "trace.csv").exists()
+
+    def test_figures_are_of_the_returned_iterate(self, tmp_path, capsys):
+        # ccd need not decrease the objective, and run() returns its best
+        # iterate. On this 40x30 sparse Poisson matrix, from init seed 0, its
+        # 50th and last sweep ends 4.3e-14 above the best one.
+        path = tmp_path / "v.mtx"
+        save_matrix(generate(SyntheticSpec(
+            kind="low-rank", m=40, n=30, r_true=4, density=0.3,
+            noise="poisson", seed=300)), path)
+        code, stdout, _ = run_cli(
+            capsys, "solve", "--matrix", str(path), "--rank", "4",
+            "--solver", "ccd", "--max-iters", "50", "--seed", "0",
+            "--out-trace", str(tmp_path / "trace.csv"))
+        assert code == 0
+        printed = dict(field.split("=") for field in stdout.splitlines()[1].split())
+        samples = read_traces(tmp_path / "trace.csv")[0].samples
+        best = min(samples, key=lambda s: s.objective)
+        assert samples[-1].objective.value > best.objective.value
+        assert float(printed["objective"]) == best.objective.value
+        assert float(printed["rel_error"]) == best.rel_error
 
     def test_sweeps_counts_sweeps_not_recorded_samples(self, capsys,
                                                        matrix_file):

@@ -1,14 +1,23 @@
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import random_triple
-from klnmf import (FULL_STEP_LAMBDA, NonDifferentiableError, SolverState,
-                   ccd_sweep, kl_divergence, self_concordant_constants,
-                   sn_sweep, sn_update_scalar)
-from klnmf.objective import Support
+from conftest import each_slice_path, random_triple
+from klnmf import (FULL_STEP_LAMBDA, NonDifferentiableError, ProblemInstance,
+                   SolverConfig, SolverState, ccd_sweep, kl_divergence,
+                   scalar_newton, self_concordant_constants, sn_sweep,
+                   sn_update_scalar)
+from klnmf.benchmark import BenchPlan, execute
+from klnmf.objective import DENSE_SLICE_DENSITY, Support
+from klnmf.solver import run
+from klnmf.synthetic import SyntheticSpec, generate, init_random_scaled
+
+KLBENCH = Path(__file__).resolve().parents[1] / "klbench"
 
 
 def damped_margin(lam):
@@ -221,7 +230,7 @@ class TestSweeps:
             after = kl_divergence(V, state.W, state.H).value
             assert after <= before * (1 + 1e-10) + 1e-10
 
-    def test_slice_updates_equal_sequential_scalar_loop(self, rng):
+    def test_slice_updates_equal_sequential_scalar_loop(self, rng, monkeypatch):
         # The sparse input reaches the masked divides and the flat-curvature
         # targets. There, undamped ccd steps amplify summation-order rounding:
         # over 200 random sparse draws (3-7 x 3-7) one ccd entry differed
@@ -231,7 +240,8 @@ class TestSweeps:
         # segments and as many slices as it has rows or columns. The last
         # three inputs reach flat curvature with either slope, a slice that
         # mixes damped and full steps, and a half with an empty data line
-        # next to one without (see test_inputs_reach_their_branches).
+        # next to one without (see test_inputs_reach_their_branches). Each
+        # input runs on both slice paths.
         sweeps = ((True, sn_sweep), (False, ccd_sweep))
         dense = [random_triple(rng, m=5, n=4, r=3) for _ in sweeps]
         sparse = [sparse_triple(rng) for _ in sweeps]
@@ -242,12 +252,14 @@ class TestSweeps:
         for (damped, sweep), *triples in zip(sweeps, dense, sparse, very_sparse,
                                              flat, damped_mix, gap):
             for (V, W, H), atol in zip(triples, (0.0, 1e-9, 1e-9, 0.0, 0.0, 0.0)):
-                state = SolverState.from_factors(W, H)
-                sweep(V, state, epsilon=1e-9, inner_repeats=2)
                 want_W, want_H = sequential_sweep(V, W, H, 1e-9, 2, damped)
-                for got, want in ((state.W, want_W), (state.H, want_H)):
-                    np.testing.assert_allclose(
-                        got, want, rtol=1e-12, atol=atol * np.abs(want).max())
+                for _path in each_slice_path(monkeypatch):
+                    state = SolverState.from_factors(W, H)
+                    sweep(V, state, epsilon=1e-9, inner_repeats=2)
+                    for got, want in ((state.W, want_W), (state.H, want_H)):
+                        np.testing.assert_allclose(
+                            got, want, rtol=1e-12,
+                            atol=atol * np.abs(want).max())
 
     def test_inputs_reach_their_branches(self, rng):
         full = {flat_curvature_triple: (False, True),
@@ -262,7 +274,7 @@ class TestSweeps:
         sequential_sweep(V, W, H, 0.0, 1, True, kinds)
         assert {"damped", "full"} <= set(kinds[:H.shape[1]])
 
-    def test_flat_slices_move_to_the_bound_only_uphill(self, rng):
+    def test_flat_slices_move_to_the_bound_only_uphill(self, rng, monkeypatch):
         V, W, H = flat_curvature_triple(rng)
         kinds = []
         _, want_H = sequential_sweep(V, W, H, 0.0, 1, True, kinds)
@@ -270,12 +282,13 @@ class TestSweeps:
         # The slices of components 1 and 2, in the loop's order.
         assert [kind == "flat" for kind in kinds[n:2 * n]] == [False] * 3 + [True] * 2
         assert kinds[2 * n:3 * n] == ["flat"] * n
-        for sweep in (sn_sweep, ccd_sweep):
-            state = SolverState.from_factors(W, H)
-            sweep(V, state, epsilon=0.0, inner_repeats=1)
-            np.testing.assert_array_equal(state.H[1, 3:], 0.0)
-            np.testing.assert_array_equal(want_H[1, 3:], 0.0)
-            np.testing.assert_array_equal(state.H[2], H[2])
+        np.testing.assert_array_equal(want_H[1, 3:], 0.0)
+        for _path in each_slice_path(monkeypatch):
+            for sweep in (sn_sweep, ccd_sweep):
+                state = SolverState.from_factors(W, H)
+                sweep(V, state, epsilon=0.0, inner_repeats=1)
+                np.testing.assert_array_equal(state.H[1, 3:], 0.0)
+                np.testing.assert_array_equal(state.H[2], H[2])
 
     def test_scalar_trajectory_embedded_in_1x1_instance(self):
         V = np.array([[4.0]])
@@ -312,3 +325,98 @@ class TestSweeps:
         ccd_sweep(V, state, epsilon=0.0)
         assert np.all(np.isfinite(state.W))
         assert np.all(np.isfinite(state.H))
+
+
+def zero_product_off_the_support():
+    """Positive data but for V[0, 0] = 0, with factors whose product is
+    exactly 0 there, and positive everywhere else."""
+    V = np.arange(1.0, 21.0).reshape(4, 5)
+    V[0, 0] = 0.0
+    W = np.array([[1.0, 0.0], [0.5, 1.0], [2.0, 0.3], [1.0, 1.0]])
+    H = np.array([[0.0, 1.0, 2.0, 0.5, 1.0], [1.5, 0.2, 1.0, 1.0, 0.7]])
+    return V, W, H
+
+
+class TestSlicePaths:
+    def test_density_picks_the_slice_path(self, rng, monkeypatch):
+        taken = []
+        for name in ("_dense_halves", "_support_halves"):
+            def spy(*args, _name=name, _halves=getattr(scalar_newton, name)):
+                taken.append(_name)
+                return _halves(*args)
+            monkeypatch.setattr(scalar_newton, name, spy)
+        V, W, H = random_triple(rng, m=10, n=10, r=2)
+        least = math.ceil(DENSE_SLICE_DENSITY * V.size)
+        for nonzeros, want in ((least, "_dense_halves"),
+                               (least - 1, "_support_halves")):
+            data = V.copy()
+            data.flat[rng.permutation(V.size)[nonzeros:]] = 0.0
+            assert Support(data).dense_slices == (want == "_dense_halves")
+            taken.clear()
+            sn_sweep(data, SolverState.from_factors(W, H), 0.0)
+            assert taken == [want]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h_first", [True, False])
+    @pytest.mark.parametrize("sweep", [sn_sweep, ccd_sweep])
+    def test_zero_product_off_the_support_is_read_as_the_support_path_does(
+            self, monkeypatch, sweep, h_first):
+        # At epsilon 0 the product is exactly 0 at (0, 0), where V is 0: a
+        # plain whole-matrix divide would make 0 / 0 there in the first
+        # slice of either half.
+        V, W, H = zero_product_off_the_support()
+        assert (W @ H)[0, 0] == 0.0 and (W @ H)[V > 0].min() > 0
+        states = {}
+        for path in each_slice_path(monkeypatch):
+            states[path] = SolverState.from_factors(W, H)
+            sweep(V, states[path], 0.0, h_first=h_first)
+        for name in ("W", "H", "WH"):
+            np.testing.assert_allclose(getattr(states["dense"], name),
+                                       getattr(states["support"], name),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("h_first", [True, False])
+    def test_zero_product_on_the_support_raises_on_both_paths(
+            self, monkeypatch, h_first):
+        V = np.ones((3, 4))
+        W = np.array([[1.0, 0.0], [1.0, 1.0], [0.5, 2.0]])
+        H = np.array([[1.0, 2.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.5]])
+        for _path in each_slice_path(monkeypatch):
+            state = SolverState.from_factors(W, H)
+            with pytest.raises(NonDifferentiableError, match=r"\(0, 2\)"):
+                sn_sweep(V, state, 0.0, h_first=h_first)
+
+    def test_paths_agree_on_the_plan_and_on_dense_poisson(self, monkeypatch):
+        # The capped sn and snmu runs of the reference plan's dense
+        # matrices (m000-m005, at densities 0.58 to 1) end at the same
+        # errors on both paths, to rounding; and klbench's dense-poisson
+        # instance reaches its target ref + delta in the same number of
+        # sweeps of each Newton kind.
+        plan = BenchPlan.from_json(KLBENCH / "plan.json")
+        plan = replace(plan, matrices=plan.matrices[:6], solvers=tuple(
+            config for config in plan.solvers if config.kind in ("sn", "snmu")))
+        with open(KLBENCH / "reference.json") as fh:
+            reference = json.load(fh)
+        spec = reference["workloads"]["dense-poisson"]
+        target = spec["ref"] + reference["delta"]
+        V = generate(SyntheticSpec(**spec["data"]))
+        instance = ProblemInstance(V, spec["rank"])
+        init = init_random_scaled(*V.shape, spec["rank"], V.values,
+                                  spec["init_seed"])
+        finals, sweeps = {}, {}
+        for path in each_slice_path(monkeypatch):
+            results = execute(plan).results
+            assert not [result.failure for result in results if result.failure]
+            finals[path] = {result.run_id: result.final_error
+                            for result in results}
+            for kind, cap in (("sn", 12), ("ccd", 12), ("snmu", 3)):
+                _, trace = run(instance, init,
+                               SolverConfig(kind=kind, max_outer_iters=cap))
+                sweeps[path, kind] = next(
+                    sample.sweep for sample in trace.samples
+                    if sample.sweep and sample.rel_error <= target)
+        assert len(finals["dense"]) == 24
+        for run_id, error in finals["support"].items():
+            assert finals["dense"][run_id] == pytest.approx(error, rel=1e-12)
+        for path in ("support", "dense"):
+            assert [sweeps[path, kind] for kind in ("sn", "ccd", "snmu")] == [9, 9, 1]

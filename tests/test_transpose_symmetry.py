@@ -8,7 +8,7 @@ orientation of the caller's own arrays.
 import numpy as np
 import pytest
 
-from conftest import random_triple
+from conftest import each_slice_path, random_triple
 from klnmf import (NonDifferentiableError, SolverState, bmd_step, ccd_sweep,
                    mu_step, mu_update_W, sn_sweep)
 
@@ -16,20 +16,24 @@ STEPS = {"mu": mu_step, "bmd": bmd_step, "sn": sn_sweep, "ccd": ccd_sweep}
 
 
 @pytest.mark.parametrize("name", sorted(STEPS))
-def test_sweep_equals_transposed_sweep(rng, name):
+def test_sweep_equals_transposed_sweep(rng, monkeypatch, name):
+    # The Newton sweeps run on each slice path (mu and bmd have one path).
     step = STEPS[name]
     for _ in range(10):
         V, W, H = random_triple(rng)
         V[0, :] = 0.0  # an empty data row exercises the zero-row paths too
-        state = SolverState.from_factors(W, H)
-        step(V, state, 1e-9, h_first=True)
-        flipped = SolverState.from_factors(H.T, W.T)
-        step(V.T, flipped, 1e-9, h_first=False)
-        np.testing.assert_allclose(flipped.H.T, state.W, rtol=1e-12)
-        np.testing.assert_allclose(flipped.W.T, state.H, rtol=1e-12)
-        np.testing.assert_allclose(flipped.WH.T, state.WH, rtol=1e-12)
-        np.testing.assert_allclose(flipped.col_sums_W, state.row_sums_H, rtol=1e-12)
-        np.testing.assert_allclose(flipped.row_sums_H, state.col_sums_W, rtol=1e-12)
+        for _path in each_slice_path(monkeypatch):
+            state = SolverState.from_factors(W, H)
+            step(V, state, 1e-9, h_first=True)
+            flipped = SolverState.from_factors(H.T, W.T)
+            step(V.T, flipped, 1e-9, h_first=False)
+            np.testing.assert_allclose(flipped.H.T, state.W, rtol=1e-12)
+            np.testing.assert_allclose(flipped.W.T, state.H, rtol=1e-12)
+            np.testing.assert_allclose(flipped.WH.T, state.WH, rtol=1e-12)
+            np.testing.assert_allclose(flipped.col_sums_W, state.row_sums_H,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(flipped.row_sums_H, state.col_sums_W,
+                                       rtol=1e-12)
 
 
 def test_transposed_state_shares_arrays():
