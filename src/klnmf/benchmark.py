@@ -179,8 +179,7 @@ class BenchOutcome:
     report: dict
 
 
-def execute(plan: BenchPlan, workers: int = 1,
-            rho_max: float = 1.0) -> BenchOutcome:
+def execute(plan: BenchPlan, workers: int = 1) -> BenchOutcome:
     """Run the whole plan and compute its statistics report.
 
     The runs of one (matrix, init) group share the plan's read-only
@@ -206,7 +205,7 @@ def execute(plan: BenchPlan, workers: int = 1,
         outcomes = [_run_task(t) for t in tasks]
     traces = [trace for trace, _ in outcomes]
     results = [result for _, result in outcomes]
-    report = build_report(results, rho_max=rho_max)
+    report = build_report(results)
     return BenchOutcome(traces=traces, results=results, report=report)
 
 

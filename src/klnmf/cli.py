@@ -143,13 +143,11 @@ def cmd_generate(ns) -> int:
         emit(V, ns.out)
         emit(W, f"{stem}.W{ext}")
         emit(H, f"{stem}.H{ext}")
-        if ns.noise == "poisson":
-            emit(poissonize(V.values, spec.seed), f"{stem}.poisson{ext}")
     else:
-        emit(gen_full_rank(spec), ns.out)
-        if ns.noise == "poisson":
-            V = gen_full_rank(spec)
-            emit(poissonize(V.values, spec.seed), f"{stem}.poisson{ext}")
+        V = gen_full_rank(spec)
+        emit(V, ns.out)
+    if ns.noise == "poisson":
+        emit(poissonize(V.values, spec.seed), f"{stem}.poisson{ext}")
     print(f"generate kind={spec.kind} m={spec.m} n={spec.n} "
           f"r_true={spec.r_true} density={spec.density:g} noise={spec.noise} "
           f"seed={spec.seed} format={ns.format} files={','.join(written)}")

@@ -11,6 +11,11 @@ class NonDifferentiableError(ValueError):
     Raised when some position has V > 0 but the factor product is 0 there.
     """
 
+    @classmethod
+    def at(cls, i, j) -> "NonDifferentiableError":
+        """The error for a product that is 0 at (i, j) of V."""
+        return cls(f"product is 0 at ({i}, {j}) where the data is positive")
+
 
 class DegenerateInputError(ValueError):
     """An input is structurally unusable (zero column, zero sum, ...)."""

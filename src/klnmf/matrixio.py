@@ -1,9 +1,11 @@
 """MatrixMarket and CSV readers/writers for dense nonnegative matrices.
 
-The MatrixMarket loader accepts both the coordinate and the array variant
-(real or integer, general symmetry), densifying coordinate files; the writer
-emits the array variant. Values are saved with 17 significant digits so a
-save/load round trip is exact. Parse and validation failures carry the
+The loader always reads the format from the file: MatrixMarket when its
+first line is the MatrixMarket banner, CSV otherwise. It accepts both the
+coordinate and the array variant of MatrixMarket (real or integer, general
+symmetry), densifying coordinate files; the writer emits the array variant.
+Values are saved with 17 significant digits so a save/load round trip is
+exact. Parse and validation failures carry the
 offending line number or entry position.
 """
 from __future__ import annotations
@@ -29,21 +31,12 @@ def save_matrix(matrix, path, format: str = "matrixmarket") -> None:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
 
 
-def load_matrix(path, format: str | None = None) -> NonnegMatrix:
-    """Read a matrix, sniffing the format from the banner line when not given."""
-    if format is None:
-        format = _sniff_format(path)
-    if format == "matrixmarket":
-        return _load_mm(path)
-    if format == "csv":
-        return _load_csv(path)
-    raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
-
-
-def _sniff_format(path) -> str:
+def load_matrix(path) -> NonnegMatrix:
+    """Read a matrix: MatrixMarket if the file starts with its banner, else
+    CSV."""
     with open(path) as fh:
         first = fh.readline()
-    return "matrixmarket" if first.startswith(_MM_BANNER) else "csv"
+    return _load_mm(path) if first.startswith(_MM_BANNER) else _load_csv(path)
 
 
 def _save_mm_array(arr: np.ndarray, path) -> None:

@@ -148,14 +148,12 @@ def support_ratio(V: np.ndarray, WH: np.ndarray,
         objective = KLObjective(V)
     support = objective.support
     # min() is NaN, and so not positive, if the product has a NaN.
-    if objective.dense and WH.shape == support.shape and WH.min() > 0:
+    if support.dense and WH.shape == support.shape and WH.min() > 0:
         return np.divide(support.V, WH, out=objective.ratio)
     wh = objective.gather(WH)
     if wh.size and wh.min() <= 0:
-        i, j = support.caller_entry(np.argmax(wh <= 0))
-        raise NonDifferentiableError(
-            f"product is 0 at ({i}, {j}) where the data is positive"
-        )
+        raise NonDifferentiableError.at(
+            *support.caller_entry(np.argmax(wh <= 0)))
     np.divide(support.values, wh, out=wh)
     objective.ratio.reshape(-1)[support.index] = wh
     return objective.ratio
@@ -304,10 +302,11 @@ class Support:
     matrix, and ``dense_slices`` whether the Newton slices do. Built on
     first use: the logarithm constants of the objective; for the Newton
     sweeps ``by_col``, the position of each nonzero in row-major order
-    listed column by column, and ``orders``, which give every sweep its
-    curvature constants and the slices on sparse data their layout; and for
-    the slices on dense data ``contiguous``, which adds a read-only
-    C-contiguous copy of V.T (and of V, when V itself is not C-contiguous).
+    listed column by column, ``orders``, which give the slices on sparse
+    data their layout, and ``curvature``, the read-only curvature constants
+    of every sweep; and for the slices on dense data ``contiguous``, which
+    adds a read-only C-contiguous copy of V.T (and of V, when V itself is
+    not C-contiguous).
 
     Nothing here is written once built and nothing is scratch, so a
     :class:`~klnmf.matrices.NonnegMatrix` builds its support once and every
@@ -382,6 +381,19 @@ class Support:
         return (_order(col_values, rows[by_col], cols[by_col], self.shape[1]),
                 _order(self.values, cols, rows, self.shape[0]))
 
+    @cached_property
+    def curvature(self) -> tuple[np.ndarray, np.ndarray]:
+        """The curvature constants of the rows and of the columns of V (see
+        :func:`~klnmf.scalar_newton.self_concordant_constants`), from the
+        minima of the segments of the orders."""
+        by_cols, by_rows = self.orders
+        curvature = np.zeros(self.shape[0]), np.zeros(self.shape[1])
+        for c, order in zip(curvature, (by_rows, by_cols)):
+            c[order.segments] = 1.0 / np.sqrt(
+                np.minimum.reduceat(order.values, order.starts))
+            c.flags.writeable = False
+        return curvature
+
     def caller_entry(self, position, in_column_order: bool = False):
         """(i, j) in V of the nonzero at ``position`` of the row-major order,
         or of the column order of the H half."""
@@ -404,9 +416,8 @@ class KLObjective:
     product at every sweep without recomputing the support or the
     normalizer, and :func:`kl_divergence` and :func:`relative_error` call it
     on a fresh product. ``support`` is the :class:`Support` of the data,
-    shared by every object made for the same :class:`NonnegMatrix`.
-    ``dense`` starts as the support's choice of ratio path; both paths give
-    the same bits, so setting it only picks the other way to compute them.
+    shared by every object made for the same :class:`NonnegMatrix`; its
+    ``dense`` alone picks the ratio path.
 
     The object itself is scratch, allocated on first use: an nnz-length
     vector that every product is gathered into; ``ratio``, the m×n result of
@@ -420,7 +431,6 @@ class KLObjective:
 
     def __init__(self, V):
         self.support = support_of(V)
-        self.dense = self.support.dense
 
     @cached_property
     def ratio(self) -> np.ndarray:

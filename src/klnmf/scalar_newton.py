@@ -46,15 +46,21 @@ buffers (the ratio and that copy) are the run's
 the W column, its square and five buffers with one entry per entry of a row
 of H (f1, f2, the targets, the decrements and the steps).
 
+On either path one guard, :func:`_positive_product`, runs before every
+slice: ccd floors the product; sn raises at the caller's (i, j) where it is
+0 and V is positive, and sets it to +inf where both are 0 (at epsilon 0,
+W @ H can be exactly 0 where V is), which divides 0 to 0 and stays +inf
+under every later step, so a slice never computes 0 / 0.
+
 On either path a slice writes only into this scratch, H and the product,
 and makes about twenty NumPy calls. Only a slice with a damped step, or
 with vanishing curvature at an entry with data, takes a masked path, which
-does allocate; so does a dense sn slice whose product has turned 0 off the
-support (see :func:`_dense_halves`).
+does allocate; so does a guard that finds a zero product.
 """
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -78,20 +84,11 @@ def self_concordant_constants(V) -> tuple[np.ndarray, np.ndarray]:
     1/sqrt(V[i, j]) (used for every entry of row i of W) and c_cols[j] the
     same over positive V[:, j] (for every entry of column j of H). Rows or
     columns with no positive data get 0.0; the constant is never consulted
-    there because the curvature vanishes identically. The segments of the
-    support's orders give the minima; a
-    :class:`~klnmf.matrices.NonnegMatrix` builds them once.
+    there because the curvature vanishes identically. They are the
+    read-only ``curvature`` of the support, which a
+    :class:`~klnmf.matrices.NonnegMatrix` builds once.
     """
-    return _curvature_constants(support_of(V))
-
-
-def _curvature_constants(support):
-    by_cols, by_rows = support.orders
-    c_rows, c_cols = np.zeros(support.shape[0]), np.zeros(support.shape[1])
-    for c, order in ((c_rows, by_rows), (c_cols, by_cols)):
-        c[order.segments] = 1.0 / np.sqrt(
-            np.minimum.reduceat(order.values, order.starts))
-    return c_rows, c_cols
+    return support_of(V).curvature
 
 
 def sn_update_scalar(x, f1, f2, c, epsilon) -> float:
@@ -146,9 +143,18 @@ def _newton_targets(xs, f1, f2, c, epsilon, damped, s, lam, step):
             np.subtract(s, xs, out=step)
 
 
-def _zero_product(i, j):
-    return NonDifferentiableError(
-        f"cached product is 0 at ({i}, {j}) where the data is positive")
+def _positive_product(values, wh, floor, entry):
+    """Guard ``wh``, the product at the entries whose data is ``values``,
+    in place; a zero where the data is positive raises at
+    ``entry(position)``, the caller's (i, j)."""
+    if floor is not None:
+        np.maximum(wh, floor, out=wh)
+    elif wh.size and not wh.min() > 0:
+        zero = wh <= 0
+        on_support = zero & (values > 0)
+        if on_support.any():
+            raise NonDifferentiableError.at(*entry(np.argmax(on_support)))
+        wh[zero] = np.inf
 
 
 def _support_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
@@ -161,9 +167,9 @@ def _support_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
     and ``work`` are nnz-length scratch. ``scratch`` holds the half's
     buffers, one entry per entry of x with data, and ``c`` the curvature
     constants of those entries (see :func:`_support_halves`). The caller
-    keeps ``wh`` positive: with ``floor`` set it has clamped it, and V/WH^2
-    is capped here so a floored product cannot overflow to inf (which would
-    poison the sums with 0 * inf).
+    keeps ``wh`` positive (see :func:`_positive_product`); with ``floor``
+    set, V/WH^2 is capped here so a floored product cannot overflow to inf
+    (which would poison the sums with 0 * inf).
 
     An entry without data has f1 = colsum and f2 = 0: it moves to epsilon
     when colsum > 0 and stays put otherwise, and leaves the product alone.
@@ -216,6 +222,8 @@ def _support_halves(support, state, constants, epsilon, inner_repeats,
             wh, ratio = ratio, wh
             in_row_order = half.transposed
         order = support.orders[half.transposed]
+        entry = partial(support.caller_entry,
+                        in_column_order=not half.transposed)
         c = c_rows if half.transposed else c_cols
         if not order.full:
             c = c[order.segments]
@@ -226,11 +234,7 @@ def _support_halves(support, state, constants, epsilon, inner_repeats,
             np.take(half.W[:, k], order.rows, out=w, mode="clip")
             x, colsum = half.H[k], half.col_sums_W[k]
             for _ in range(inner_repeats):
-                if floor is not None:
-                    np.maximum(wh, floor, out=wh)
-                elif wh.size and wh.min() <= 0:
-                    raise _zero_product(*support.caller_entry(
-                        np.argmax(wh <= 0), not half.transposed))
+                _positive_product(order.values, wh, floor, entry)
                 _support_slice(order, x, colsum, c, epsilon, damped, floor, w,
                                wh, ratio, work, scratch)
         half.H.sum(axis=1, out=half.row_sums_H)
@@ -245,7 +249,7 @@ def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor, w, ww,
     is scratch of their shape. ``w`` is column k of W, ``ww`` its square,
     ``colsum`` its sum and ``c`` the curvature constants of every entry of
     x; ``scratch`` holds f1, f2, s, lam and step, one entry per entry of x.
-    The caller keeps ``WH`` positive (see :func:`_dense_halves`). An entry
+    The caller keeps ``WH`` positive (see :func:`_positive_product`). An entry
     without data has f1 = colsum and f2 = 0, so the flat rule sets it as the
     support path does.
     """
@@ -268,14 +272,6 @@ def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor, w, ww,
 
 def _dense_halves(support, objective, state, constants, epsilon,
                   inner_repeats, h_first, damped, floor):
-    """Both halves on the whole matrix. A product entry off the support
-    only ever divides a zero of V. Where the sn product is not positive
-    there (at epsilon 0, W @ H can be exactly 0 where V is), it is set to
-    +inf, which divides 0 to 0 and stays +inf under every later step, so a
-    slice never computes 0 / 0; on the support it raises as the support path
-    does. ccd floors every entry instead. The full product is recomputed at
-    the end of the sweep either way.
-    """
     c_rows, c_cols = constants
     ratio, product = objective.slice_scratch
     for half in state.halves(h_first):
@@ -285,6 +281,9 @@ def _dense_halves(support, objective, state, constants, epsilon,
         if not WH.flags.c_contiguous:
             WH = product.reshape(V.shape)
             np.copyto(WH, half.WH)
+        # A position in the W half's C-ordered V.T is one in V in F order.
+        entry = partial(np.unravel_index, shape=support.shape,
+                        order="F" if half.transposed else "C")
         c = c_rows if half.transposed else c_cols
         w, ww = np.empty((2, V.shape[0]))
         scratch = tuple(np.empty((5, V.shape[1])))
@@ -293,15 +292,7 @@ def _dense_halves(support, objective, state, constants, epsilon,
             np.multiply(w, w, out=ww)
             x, colsum = half.H[k], half.col_sums_W[k]
             for _ in range(inner_repeats):
-                if floor is not None:
-                    np.maximum(WH, floor, out=WH)
-                elif not WH.min() > 0:
-                    zero = (WH <= 0) & (V > 0)
-                    if zero.any():
-                        i, j = np.unravel_index(np.argmax(zero), V.shape)
-                        raise _zero_product(*((j, i) if half.transposed
-                                              else (i, j)))
-                    WH[(WH <= 0) & (V == 0)] = np.inf
+                _positive_product(V, WH, floor, entry)
                 _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor,
                              w, ww, scratch)
         if WH is not half.WH:
@@ -315,7 +306,7 @@ def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped,
         objective = KLObjective(V)
     support = objective.support
     if constants is None:
-        constants = _curvature_constants(support)
+        constants = support.curvature
     if support.dense_slices:
         _dense_halves(support, objective, state, constants, epsilon,
                       inner_repeats, h_first, damped, floor)

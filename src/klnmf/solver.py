@@ -123,8 +123,8 @@ def _make_stepper(config: SolverConfig, matrix: NonnegMatrix,
     runs, so that patching ``klnmf.solver.sn_sweep`` and the like reaches it.
     Every kind reads the data through the run's objective, whose support
     the matrix builds once: MU, BMD and the MU tail of snmu form their ratio
-    in its scratch, and the Newton kinds read the support's orders and get
-    the curvature constants, which take one pass over those orders per run.
+    in its scratch, and the Newton kinds read the support's orders and its
+    curvature constants, which the support also builds once.
     """
     V = matrix.values
     newton = {"inner_repeats": config.inner_repeats, "objective": objective}

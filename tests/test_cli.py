@@ -5,7 +5,7 @@ import pytest
 
 from klnmf import load_matrix, read_traces, save_matrix
 from klnmf.cli import main
-from klnmf.synthetic import SyntheticSpec, generate
+from klnmf.synthetic import SyntheticSpec, generate, poissonize
 
 
 def run_cli(capsys, *argv):
@@ -38,12 +38,14 @@ class TestGenerate:
 
     def test_poisson_writes_noisy_copy(self, tmp_path, capsys):
         code, _, _ = run_cli(
-            capsys, "generate", "--kind", "low-rank", "--m", "6", "--n", "6",
-            "--rank", "2", "--noise", "poisson", "--seed", "1",
+            capsys, "generate", "--kind", "full-rank", "--m", "6", "--n", "6",
+            "--noise", "poisson", "--seed", "1",
             "--out", str(tmp_path / "v.mtx"))
         assert code == 0
+        clean = load_matrix(tmp_path / "v.mtx").values
         noisy = load_matrix(tmp_path / "v.poisson.mtx").values
         np.testing.assert_array_equal(noisy, np.round(noisy))
+        np.testing.assert_array_equal(noisy, poissonize(clean, 1).values)
 
     def test_bad_density_exits_one_naming_flag(self, tmp_path, capsys):
         code, _, stderr = run_cli(

@@ -89,7 +89,8 @@ class TestBmdStep:
 
     def test_step_equals_columnwise_updates(self, rng):
         V, W, H = random_triple(rng, m=5, n=4, r=3)
-        assert KLObjective(V).dense  # the ratio is one whole-matrix divide
+        # The ratio is one whole-matrix divide.
+        assert KLObjective(V).support.dense
         state = SolverState.from_factors(W, H)
         bmd_step(V, state, epsilon=1e-9, h_first=True)
         # replay the H half column by column against the same W
@@ -106,7 +107,7 @@ class TestBmdStep:
         V, W, H = random_triple(rng, m=5, n=4, r=2)
         V[1, :] = 0.0
         V[:, 2] = 0.0
-        assert KLObjective(V).dense  # 60% nonzero
+        assert KLObjective(V).support.dense  # 60% nonzero
         state = SolverState.from_factors(W, H)
         bmd_step(V, state, epsilon=1e-9)
 

@@ -42,7 +42,7 @@ class TestMuStep:
                                                                 density):
         V, W, H = random_triple(rng, m=6, n=5, r=3)
         V = (V + 0.5) * (rng.random(V.shape) < density)
-        assert KLObjective(V).dense
+        assert KLObjective(V).support.dense
         state = make_state(W, H)
         mu_step(V, state, epsilon=1e-9)
         want_H = mu_update_H(V, W, H, W @ H, epsilon=1e-9)

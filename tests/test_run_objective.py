@@ -166,12 +166,14 @@ def ratio_cases(rng):
         yield V * scale, W @ H
 
 
-def test_both_ratio_paths_give_the_textbook_bits(rng):
+def test_both_ratio_paths_give_the_textbook_bits(rng, monkeypatch):
     for V, WH in ratio_cases(rng):
         want = textbook_ratio(V, WH)
-        for dense in (True, False):
+        # Density 0 sends all data with a nonzero to the whole-matrix
+        # divide, and density inf none.
+        for density in (0.0, math.inf):
+            monkeypatch.setattr("klnmf.objective.DENSE_RATIO_DENSITY", density)
             objective = KLObjective(V)
-            objective.dense = dense
             assert_same_bits(support_ratio(V, WH, objective), want)
             # A second call on the same buffer, on another product.
             assert_same_bits(support_ratio(V, WH * 3.0, objective),
@@ -181,7 +183,8 @@ def test_both_ratio_paths_give_the_textbook_bits(rng):
 def test_density_rule_picks_the_path_the_benchmark_expects(rng):
     V = rng.uniform(0.5, 3.0, (20, 20))
     for density, dense in ((1.0, True), (0.6, True), (0.08, False), (0.0, False)):
-        assert KLObjective(V * (rng.random(V.shape) < density)).dense == dense
+        assert KLObjective(
+            V * (rng.random(V.shape) < density)).support.dense == dense
 
 
 def test_dense_data_with_product_zero_off_the_support_falls_back(rng):
@@ -190,7 +193,7 @@ def test_dense_data_with_product_zero_off_the_support_falls_back(rng):
     V = rng.uniform(0.5, 3.0, (8, 6))
     V[3, :] = 0.0
     objective = KLObjective(V)
-    assert objective.dense
+    assert objective.support.dense
     state = SolverState.from_factors(rng.uniform(0.2, 1.0, (8, 2)),
                                      rng.uniform(0.2, 1.0, (2, 6)))
     with warnings.catch_warnings():
@@ -208,7 +211,7 @@ def test_dense_data_with_product_zero_on_the_support_raises(rng):
     WH = np.full(V.shape, 2.0)
     WH[3, 1] = 0.0
     objective = KLObjective(V)
-    assert objective.dense
+    assert objective.support.dense
     for target in (objective, None):
         with pytest.raises(NonDifferentiableError, match=r"\(3, 1\)"):
             support_ratio(V, WH, target)
@@ -219,5 +222,5 @@ def test_nan_product_keeps_the_ratio_zero_off_the_support(rng):
     WH = np.full(V.shape, 2.0)
     WH[0, 0] = np.nan
     objective = KLObjective(V)
-    assert objective.dense
+    assert objective.support.dense
     assert_same_bits(support_ratio(V, WH, objective), textbook_ratio(V, WH))

@@ -8,10 +8,10 @@ import pytest
 
 import oracles
 from conftest import each_slice_path, random_triple
-from klnmf import (FULL_STEP_LAMBDA, NonDifferentiableError, ProblemInstance,
-                   SolverConfig, SolverState, ccd_sweep, kl_divergence,
-                   scalar_newton, self_concordant_constants, sn_sweep,
-                   sn_update_scalar)
+from klnmf import (FULL_STEP_LAMBDA, NonDifferentiableError, NonnegMatrix,
+                   ProblemInstance, SolverConfig, SolverState, ccd_sweep,
+                   kl_divergence, scalar_newton, self_concordant_constants,
+                   sn_sweep, sn_update_scalar)
 from klnmf.benchmark import BenchPlan, execute
 from klnmf.objective import DENSE_SLICE_DENSITY, Support
 from klnmf.solver import run
@@ -111,6 +111,17 @@ class TestSelfConcordantConstants:
         c_rows, c_cols = self_concordant_constants(V)
         np.testing.assert_allclose(c_cols, 1.0 / np.sqrt(V.min(axis=0)))
         np.testing.assert_allclose(c_rows, 1.0 / np.sqrt(V.min(axis=1)))
+
+    def test_matrix_keeps_one_read_only_copy(self, rng):
+        V, _, _ = sparse_triple(rng)
+        matrix = NonnegMatrix(V)
+        constants = self_concordant_constants(matrix)
+        again = self_concordant_constants(matrix)
+        for got, cached, want in zip(constants, again,
+                                     self_concordant_constants(V.copy())):
+            assert got is cached and not got.flags.writeable
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
 
 
 def sequential_sweep(V, W, H, epsilon, inner_repeats, damped, kinds=None):

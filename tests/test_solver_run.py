@@ -338,7 +338,7 @@ class TestObjectivePerMatrix:
         for kind in ("bmd", "sn"):
             run_record(instance, init, kind)
         shared = instance.V.support
-        for array in (shared.values, *shared.sums,
+        for array in (shared.values, *shared.sums, *shared.curvature,
                       *(order.values for order in shared.orders)):
             assert not array.flags.writeable
         assert not {"ratio", "_wh"} & set(vars(shared))
