@@ -7,6 +7,7 @@ a*log(0) = -inf for a > 0.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -40,24 +41,26 @@ DENSE_RATIO_DENSITY = 0.3
 DENSE_SLICE_DENSITY = 0.6
 
 
+@dataclass(frozen=True, order=True, slots=True)
 class ExtendedObjective:
     """KL objective value in [0, +inf] with the infinite state explicit.
 
     Values are built through :meth:`finite` / :meth:`infinite`; the infinite
     state is detected before any logarithm is taken, so IEEE infinities never
-    arise from summation. Comparisons order the infinite state above every
-    finite value. Finite values may be slightly negative (round-off only).
+    arise from summation. Equality, ordering and hashing compare the one
+    field, which orders the infinite state above every finite value. Finite
+    values may be slightly negative (round-off only).
     """
 
-    __slots__ = ("_value",)
+    _value: float
 
-    def __init__(self, value: float):
-        value = float(value)
+    def __post_init__(self):
+        value = float(self._value)
         if math.isnan(value):
             raise ValueError("objective value cannot be NaN")
         if value == -math.inf:
             raise ValueError("objective value cannot be -inf")
-        self._value = value
+        object.__setattr__(self, "_value", value)
 
     @classmethod
     def finite(cls, value: float) -> "ExtendedObjective":
@@ -83,24 +86,6 @@ class ExtendedObjective:
     def as_float(self) -> float:
         """The value with the infinite state mapped to IEEE +inf."""
         return self._value
-
-    def __eq__(self, other):
-        if isinstance(other, ExtendedObjective):
-            return self._value == other._value
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, ExtendedObjective):
-            return self._value < other._value
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, ExtendedObjective):
-            return self._value <= other._value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._value)
 
     def __repr__(self):
         if not self.is_finite:

@@ -146,11 +146,13 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
         ) -> tuple[Factorization, RunTrace]:
     """Iterate the configured solver and record a timestamped trace.
 
-    The initialization is clamped up to the resolved epsilon (with a warning
-    if that changes anything) and never mutated. Samples are recorded at the
-    initial point, after every ``record_every`` outer sweeps, and at the
-    final point. Returns the best-objective iterate seen, which for the
-    monotone kinds is the last one.
+    The initialization is copied into the state once, clamped up to the
+    resolved epsilon (with a warning if that changes anything), and never
+    mutated. Samples are recorded at the initial point, after every
+    ``record_every`` outer sweeps, and after the sweep that stops the run;
+    every sample but the initial one is stamped at the end of its sweep,
+    before the stopping checks. Returns the best-objective iterate seen,
+    which for the monotone kinds is the last one.
     """
     if init.W.shape != (instance.V.rows, instance.rank) or \
             init.H.shape != (instance.rank, instance.V.cols):
@@ -160,19 +162,18 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
         )
     V = instance.V.values
     epsilon = config.resolved_epsilon(instance.epsilon)
-    W0 = np.array(init.W.values)
-    H0 = np.array(init.H.values)
-    if epsilon > 0 and (W0.min() < epsilon or H0.min() < epsilon):
+    state = SolverState.from_factors(init.W.values, init.H.values)
+    if epsilon > 0 and (state.W.min() < epsilon or state.H.min() < epsilon):
         warnings.warn(
             f"initialization clamped up to epsilon={epsilon!r}", stacklevel=2)
-        np.maximum(W0, epsilon, out=W0)
-        np.maximum(H0, epsilon, out=H0)
+        np.maximum(state.W, epsilon, out=state.W)
+        np.maximum(state.H, epsilon, out=state.H)
+        state.resync()
     if config.kind == "bmd" and epsilon == 0:
         warnings.warn(
             "bmd with epsilon=0 decreases the objective but loses its "
             "convergence guarantee; use a positive epsilon", stacklevel=2)
 
-    state = SolverState.from_factors(W0, H0)
     objective = KLObjective(instance.V)
     obj = objective.of_product(state.WH)
     if not obj.is_finite:
@@ -185,48 +186,32 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
     best_obj = obj
     best_W = state.W.copy()
     best_H = state.H.copy()
-
-    def finish():
-        trace = RunTrace(run_id=run_id, solver=config.kind,
-                         matrix_id=matrix_id, init_id=init_id,
-                         samples=tuple(samples))
-        pair = Factorization(NonnegMatrix(best_W), NonnegMatrix(best_H))
-        return pair, trace
-
-    if config.time_budget == 0 or config.max_outer_iters == 0:
-        return finish()
-
-    start = time.perf_counter()
-    stepper = _make_stepper(config, instance.V, objective, epsilon,
-                            start + config.time_budget)
-    last_recorded = 0
-    prev_value = obj.value
-    for it in range(1, config.max_outer_iters + 1):
-        stepper(state)
-        elapsed = time.perf_counter() - start
-        obj = objective.of_product(state.WH)
-        if obj < best_obj:
-            best_obj = obj
-            best_W[...] = state.W
-            best_H[...] = state.H
-        if it % config.record_every == 0:
-            stamp = max(elapsed, samples[-1].elapsed_s + 1e-9)
-            samples.append(TraceSample(stamp, obj, objective.relative(obj), it))
-            last_recorded = it
-        if elapsed >= config.time_budget:
-            break
-        if config.objective_tol is not None and obj.is_finite:
-            decrease = (prev_value - obj.value) / max(abs(prev_value), 1e-30)
-            if decrease < config.objective_tol:
-                break
-        if config.kkt_tol is not None:
-            residual = kkt_residual(V, state.W, state.H, epsilon, objective,
-                                    state.WH)
-            if residual <= config.kkt_tol:
-                break
-        prev_value = obj.as_float()
-    if last_recorded != it:
-        elapsed = time.perf_counter() - start
-        stamp = max(elapsed, samples[-1].elapsed_s + 1e-9)
-        samples.append(TraceSample(stamp, obj, objective.relative(obj), it))
-    return finish()
+    if config.time_budget > 0 and config.max_outer_iters > 0:
+        start = time.perf_counter()
+        stepper = _make_stepper(config, instance.V, objective, epsilon,
+                                start + config.time_budget)
+        sweep, prev_value, stop = 0, obj.value, False
+        while not stop:
+            stepper(state)
+            sweep += 1
+            elapsed = time.perf_counter() - start
+            obj = objective.of_product(state.WH)
+            if obj < best_obj:
+                best_obj = obj
+                best_W[...] = state.W
+                best_H[...] = state.H
+            stop = (sweep == config.max_outer_iters
+                    or elapsed >= config.time_budget
+                    or (config.objective_tol is not None and obj.is_finite
+                        and (prev_value - obj.value) / max(abs(prev_value), 1e-30)
+                        < config.objective_tol)
+                    or (config.kkt_tol is not None
+                        and kkt_residual(V, state.W, state.H, epsilon, objective,
+                                         state.WH) <= config.kkt_tol))
+            if stop or sweep % config.record_every == 0:
+                stamp = max(elapsed, samples[-1].elapsed_s + 1e-9)
+                samples.append(TraceSample(stamp, obj, objective.relative(obj), sweep))
+            prev_value = obj.as_float()
+    trace = RunTrace(run_id=run_id, solver=config.kind, matrix_id=matrix_id,
+                     init_id=init_id, samples=tuple(samples))
+    return Factorization(NonnegMatrix(best_W), NonnegMatrix(best_H)), trace

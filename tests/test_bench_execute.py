@@ -151,6 +151,21 @@ class TestArchive:
         assert a == b
         json.loads(a)  # strict JSON: no Infinity/NaN literals
 
+    def test_round_trip_keeps_failed_run(self, tmp_path, monkeypatch):
+        import klnmf.benchmark as bench_mod
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        plan = tiny_plan(solvers=("mu",))
+        monkeypatch.setattr(bench_mod, "run", boom)
+        outcome = execute(plan)
+        save_archive(outcome, tmp_path / "arch", plan=plan)
+        _, results = load_archive(tmp_path / "arch")
+        assert results[0].final_error == math.inf
+        assert results[0].failure == "RuntimeError: synthetic failure"
+        assert results == outcome.results
+
     def test_missing_archive_raises(self, tmp_path):
         with pytest.raises(MatrixFileError, match="archive"):
             load_archive(tmp_path / "missing")

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -29,6 +32,41 @@ class TestExtendedObjective:
             ExtendedObjective(-math.inf)
         with pytest.raises(ValueError):
             ExtendedObjective.finite(math.inf)
+
+    def test_equality_order_and_hash_compare_the_value(self):
+        two, also_two = ExtendedObjective.finite(2.0), ExtendedObjective(2)
+        inf = ExtendedObjective.infinite()
+        assert two == also_two and hash(two) == hash(also_two)
+        assert inf == ExtendedObjective(math.inf)
+        assert hash(inf) == hash(ExtendedObjective.infinite())
+        assert two != inf and two != 2.0
+        assert two <= also_two and two <= inf and not inf <= two
+        assert inf > two and inf >= inf
+        assert len({two, also_two, inf}) == 2
+
+    def test_repr_of_both_states(self):
+        assert repr(ExtendedObjective.finite(0.25)) == "ExtendedObjective(0.25)"
+        assert repr(ExtendedObjective.infinite()) == "ExtendedObjective(+inf)"
+
+    @pytest.mark.parametrize("compare", [operator.lt, operator.le,
+                                         operator.gt, operator.ge])
+    def test_ordering_against_a_float_raises(self, compare):
+        with pytest.raises(TypeError):
+            compare(ExtendedObjective.finite(1.0), 2.0)
+        with pytest.raises(TypeError):
+            compare(2.0, ExtendedObjective.infinite())
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ExtendedObjective.finite(1.0)._value = 2.0
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        # Trace samples cross process boundaries in execute(workers=2).
+        for obj in (ExtendedObjective.finite(-1e-17), ExtendedObjective.infinite()):
+            again = pickle.loads(pickle.dumps(obj, protocol=protocol))
+            assert again == obj and repr(again) == repr(obj)
+            assert again.as_float() == obj.as_float()
 
 
 class TestKLDivergence:

@@ -1,0 +1,206 @@
+"""Dump the outputs of capped runs from one checkout, and compare two dumps.
+
+    mkdir ../cmp
+    git archive --prefix=parent/ <parent-commit> | tar x -C ../cmp
+    git archive --prefix=change/ <change-commit> | tar x -C ../cmp
+    python3 tools/iterate_diff.py dump --checkout ../cmp/parent --out parent.npz
+    python3 tools/iterate_diff.py dump --checkout ../cmp/change --out change.npz
+    python3 tools/iterate_diff.py compare parent.npz change.npz
+
+``dump`` imports ``klnmf`` from the checkout's ``src/`` and the instances
+from its ``klbench/``, with every BLAS pool pinned to one thread, and runs:
+
+- every solver kind on both klbench solve instances, capped at its
+  ``sweeps_hint`` + 5 sweeps;
+- ``sn`` and ``ccd`` sweeps, updating H first and then W first, on seeded
+  random data passed as a raw array and transposed;
+- every run of ``klbench/plan.json``.
+
+It saves final W and H, every recorded objective, relative error and sweep
+index, the plan's final errors and failure notes, and never a timestamp.
+``--toy`` runs klbench's toy instances, its toy plan and fewer sweeps, in a
+few seconds. Capped runs repeat bitwise, so two dumps of one checkout are
+bitwise equal.
+
+``compare`` prints, for every array, whether the two dumps hold it bitwise
+equal and its largest relative difference, and exits 1 if any array
+differs or is missing from one dump.
+"""
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+KINDS = ("mu", "bmd", "sn", "snmu", "ccd")
+#: Seeded data for the single sweeps: (cases, sweeps per case).
+SWEEP_CASES = {"full": (20, 3), "toy": (3, 2)}
+TOY_CAP = 5
+
+
+def _load(checkout: Path):
+    """Import klbench's bootstrap, instances and the program from ``checkout``."""
+    bench = checkout.resolve() / "klbench"
+    if not (bench / "bootstrap.py").is_file():
+        raise SystemExit(f"iterate_diff: {checkout} has no klbench/bootstrap.py")
+    sys.path.insert(0, str(bench))
+    import bootstrap
+    bootstrap.prepare()
+    import instances
+    import klnmf
+    if Path(klnmf.__file__).resolve().parent != bootstrap.SRC / "klnmf":
+        raise SystemExit(f"iterate_diff: imported klnmf from {klnmf.__file__}, "
+                         f"not from {bootstrap.SRC}")
+    return instances
+
+
+def _trace_arrays(out: dict, key: str, trace) -> None:
+    import numpy as np
+    out[f"{key}:objective"] = np.array([s.objective.as_float() for s in trace.samples])
+    out[f"{key}:rel_error"] = np.array([s.rel_error for s in trace.samples])
+    out[f"{key}:sweep"] = np.array([s.sweep for s in trace.samples])
+
+
+def _solve_runs(out: dict, instances, toy: bool, tmp: Path) -> None:
+    import numpy as np
+    from klnmf.solver import SolverConfig, run
+    reference = instances.load_reference()
+    for name in instances.SOLVE_WORKLOADS:
+        spec = instances.TOY[name] if toy else reference["workloads"][name]
+        if name == "sparse-counts":
+            path = tmp / f"{name}.mtx"
+            instances.write_coordinate(instances.sparse_counts(**spec["data"]), path)
+            problem = instances.sparse_setup(spec, path)
+        else:
+            problem = instances.dense_setup(spec)
+        for kind in KINDS:
+            cap = TOY_CAP if toy else spec["sweeps_hint"][kind] + 5
+            key = f"solve:{name}:{kind}"
+            try:
+                pair, trace = run(problem.instance, problem.init,
+                                  SolverConfig(kind=kind, max_outer_iters=cap))
+            except Exception as exc:  # noqa: BLE001 - failures are data here
+                out[f"{key}:failure"] = np.array(f"{type(exc).__name__}: {exc}")
+                continue
+            out[f"{key}:W"] = pair.W.values
+            out[f"{key}:H"] = pair.H.values
+            _trace_arrays(out, key, trace)
+
+
+def _sweeps(out: dict, toy: bool) -> None:
+    import numpy as np
+    from klnmf.solver import MACHINE_EPS
+    from klnmf.scalar_newton import ccd_sweep, sn_sweep
+    from klnmf.state import SolverState
+    steps = {"sn": (sn_sweep, 0.0), "ccd": (ccd_sweep, MACHINE_EPS)}
+    cases, sweeps = SWEEP_CASES["toy" if toy else "full"]
+    rng = np.random.default_rng(20131)
+    for case in range(cases):
+        m, n = (int(d) for d in rng.integers(2, 31, size=2))
+        r = int(rng.integers(1, min(m, n) + 1))
+        density = float(rng.choice([0.2, 0.5, 0.8, 1.0]))
+        V = rng.uniform(0.0, 3.0, (m, n)) * (rng.random((m, n)) < density)
+        W = rng.uniform(0.1, 2.0, (m, r))
+        H = rng.uniform(0.1, 2.0, (r, n))
+        for layout, (data, W0, H0) in {"raw": (V, W, H),
+                                       "transposed": (V.T, H.T, W.T)}.items():
+            for kind, (step, epsilon) in steps.items():
+                for h_first in (True, False):
+                    key = f"sweep:{case:02d}:{layout}:{kind}:h_first={h_first}"
+                    state = SolverState.from_factors(W0, H0)
+                    note = ""
+                    try:
+                        for _ in range(sweeps):
+                            step(data, state, epsilon, h_first=h_first)
+                    except Exception as exc:  # noqa: BLE001 - failures are data here
+                        note = f"{type(exc).__name__}: {exc}"
+                    out[f"{key}:W"] = state.W
+                    out[f"{key}:H"] = state.H
+                    out[f"{key}:failure"] = np.array(note)
+
+
+def _plan_runs(out: dict, instances, toy: bool) -> None:
+    import numpy as np
+    from klnmf.benchmark import BenchPlan, execute
+    outcome = execute(BenchPlan.from_dict(instances.load_plan_dict(toy=toy)))
+    for trace, result in zip(outcome.traces, outcome.results):
+        key = f"plan:{result.run_id}"
+        _trace_arrays(out, key, trace)
+        out[f"{key}:final_error"] = np.array(result.final_error)
+        out[f"{key}:failure"] = np.array(result.failure or "")
+
+
+def dump(checkout: Path, path: Path, toy: bool) -> None:
+    instances = _load(checkout)
+    import numpy as np
+    out: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        _solve_runs(out, instances, toy, Path(tmp))
+    _sweeps(out, toy)
+    _plan_runs(out, instances, toy)
+    np.savez(path, **out)
+    print(f"iterate_diff: {len(out)} arrays from {checkout} -> {path}")
+
+
+def _bitwise_equal(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _largest_relative_difference(a, b) -> float:
+    """max |a - b| / max(|a|, |b|) over numeric arrays of one shape, with
+    equal entries (infinities included) counting 0; nan if not comparable."""
+    import numpy as np
+    if a.shape != b.shape or a.dtype.kind not in "biuf" or b.dtype.kind not in "biuf":
+        return math.nan
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
+    equal = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    rel = np.where(equal, 0.0, np.nan_to_num(rel, nan=math.inf))
+    return float(rel.max()) if rel.size else 0.0
+
+
+def compare(first: Path, second: Path) -> int:
+    import numpy as np
+    with np.load(first) as fa, np.load(second) as fb:
+        a = {k: fa[k] for k in fa.files}
+        b = {k: fb[k] for k in fb.files}
+    differing = 0
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            differing += 1
+            print(f"MISSING  {key}: only in {first if key in a else second}")
+            continue
+        equal = _bitwise_equal(a[key], b[key])
+        differing += not equal
+        rel = _largest_relative_difference(a[key], b[key])
+        print(f"{'equal' if equal else 'DIFFERS':8s} {key}: largest relative "
+              f"difference {'n/a' if math.isnan(rel) else f'{rel:.3g}'}")
+    print(f"iterate_diff: {len(a.keys() | b.keys()) - differing} of "
+          f"{len(a.keys() | b.keys())} arrays bitwise equal")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    dumper = sub.add_parser("dump", help="run one checkout and save its outputs")
+    dumper.add_argument("--checkout", type=Path, required=True)
+    dumper.add_argument("--out", type=Path, required=True)
+    dumper.add_argument("--toy", action="store_true",
+                        help="toy instances, toy plan and fewer sweeps")
+    comparer = sub.add_parser("compare", help="compare two dumps array by array")
+    comparer.add_argument("first", type=Path)
+    comparer.add_argument("second", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.checkout, args.out, args.toy)
+        return 0
+    return compare(args.first, args.second)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
