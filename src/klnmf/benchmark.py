@@ -158,7 +158,7 @@ def _run_task(args):
         final_error, time_to_final = trace.best_error, trace.time_to_best
     except Exception as exc:  # noqa: BLE001 - failures are data here
         objective = KLObjective(instance.V)
-        obj = objective.of_product(init.product())
+        obj = objective.of_factors(init.W.values, init.H.values)
         trace = RunTrace(
             run_id=run_id, solver=config.kind, matrix_id=matrix_id,
             init_id=init_id,

@@ -193,10 +193,9 @@ def cmd_solve(ns) -> int:
     # sweep may have ended above it.
     W, H = pair.W.values, pair.H.values
     objective = KLObjective(V)
-    WH = W @ H
-    final = objective.of_product(WH)
+    final = objective.of_factors(W, H)
     residual = kkt_residual(V.values, W, H, config.resolved_epsilon(),
-                            objective, WH)
+                            objective)
     print(f"objective={_fmt(final.as_float())} "
           f"rel_error={_fmt(objective.relative(final))} "
           f"kkt_residual={_fmt(residual)} wall_s={wall:.3f} "

@@ -38,6 +38,12 @@ DENSE_RATIO_DENSITY = 0.3
 #: 1.09-1.14 times as long at 0.55, 0.68-0.83 times at 0.65 and 0.57-0.70
 #: times at 0.85. On 20x20 to 40x30 rank 4 the two ways cost about the same
 #: at every density.
+#:
+#: The same density makes :meth:`KLObjective.of_product` take the logarithm
+#: of the whole product. On the same VM its log pass costs the same as the
+#: gather of the nonzeros at about 0.6 on 200x200 and 100x80, and takes
+#: 1.2-2.3 times as long as the gather between 0.3 and 0.5, so the lower
+#: ``DENSE_RATIO_DENSITY`` would make it slower there.
 DENSE_SLICE_DENSITY = 0.6
 
 
@@ -122,19 +128,20 @@ def support_ratio(V: np.ndarray, WH: np.ndarray,
 
     Raises NonDifferentiableError, naming the (i, j) entry, if WH vanishes
     where V is positive. ``objective`` is the :class:`KLObjective` of V,
-    built here when absent, and the result is its ``ratio`` buffer, which
-    the next call on the same object overwrites. On dense data (see
+    built here when absent, and the result is one of its buffers, which
+    the next call on the same object may overwrite. On dense data (see
     ``DENSE_RATIO_DENSITY``) whose product is positive everywhere the ratio
-    is one divide over the whole matrix, where 0 / WH is exactly +0.0;
-    otherwise only the support is read and written. Both ways divide each
-    nonzero of V by the same product entry, so they give the same bits.
+    is one divide over the whole matrix into its ``work``, where 0 / WH is
+    exactly +0.0; otherwise only the support of its ``ratio`` is read and
+    written. Both ways divide each nonzero of V by the same product entry,
+    so they give the same bits.
     """
     if objective is None:
         objective = KLObjective(V)
     support = objective.support
     # min() is NaN, and so not positive, if the product has a NaN.
     if support.dense and WH.shape == support.shape and WH.min() > 0:
-        return np.divide(support.V, WH, out=objective.ratio)
+        return np.divide(support.V, WH, out=objective.work.reshape(WH.shape))
     wh = objective.gather(WH)
     if wh.size and wh.min() <= 0:
         raise NonDifferentiableError.at(
@@ -148,10 +155,12 @@ def kl_divergence(V, W, H) -> ExtendedObjective:
     """Sum over entries of WH - V*log(WH) + V*log(V) - V.
 
     Entries with V == 0 contribute exactly their WH term; the result is the
-    infinite state as soon as V > 0 meets WH == 0.
+    infinite state as soon as V > 0 meets WH == 0. The value is
+    :meth:`KLObjective.of_factors`, bitwise what ``run()`` records for the
+    same factors.
     """
     V, W, H = _conforming(V, W, H)
-    return KLObjective(V).of_product(W @ H)
+    return KLObjective(V).of_factors(W, H)
 
 
 def kl_normalizer(V) -> float:
@@ -172,7 +181,7 @@ def relative_error(V, W, H) -> RelativeError:
     """
     V, W, H = _conforming(V, W, H)
     objective = KLObjective(V)
-    obj = objective.of_product(W @ H)
+    obj = objective.of_factors(W, H)
     return RelativeError(objective.relative(obj),
                          obj.is_finite and objective.support.degenerate_normalizer)
 
@@ -284,14 +293,14 @@ class Support:
     index of its nonzeros and ``values`` their values. ``sums`` holds the
     column and the row sums of V, indexed by ``SolverState.transposed``.
     ``dense`` says whether :func:`support_ratio` may divide over the whole
-    matrix, and ``dense_slices`` whether the Newton slices do. Built on
-    first use: the logarithm constants of the objective; for the Newton
-    sweeps ``by_col``, the position of each nonzero in row-major order
-    listed column by column, ``orders``, which give the slices on sparse
-    data their layout, and ``curvature``, the read-only curvature constants
-    of every sweep; and for the slices on dense data ``contiguous``, which
-    adds a read-only C-contiguous copy of V.T (and of V, when V itself is
-    not C-contiguous).
+    matrix, and ``dense_slices`` whether the Newton slices and the log pass
+    of the objective do. Built on first use: the logarithm constants of the
+    objective; for the Newton sweeps ``by_col``, the position of each
+    nonzero in row-major order listed column by column, ``orders``, which
+    give the slices on sparse data their layout, and ``curvature``, the
+    read-only curvature constants of every sweep; and for the slices on
+    dense data ``contiguous``, which adds a read-only C-contiguous copy of
+    V.T (and of V, when V itself is not C-contiguous).
 
     Nothing here is written once built and nothing is scratch, so a
     :class:`~klnmf.matrices.NonnegMatrix` builds its support once and every
@@ -333,7 +342,8 @@ class Support:
 
     @property
     def dense_slices(self) -> bool:
-        """Whether the Newton slices run over the whole matrix (see
+        """Whether the Newton slices and the log pass of
+        :meth:`KLObjective.of_product` run over the whole matrix (see
         ``DENSE_SLICE_DENSITY``)."""
         return (self.index.size > 0
                 and self.index.size >= DENSE_SLICE_DENSITY * self.V.size)
@@ -397,21 +407,27 @@ def support_of(V) -> Support:
 class KLObjective:
     """The objective of one data matrix, with the scratch to evaluate it in.
 
-    The one evaluation of the objective: ``run()`` calls it on its cached
-    product at every sweep without recomputing the support or the
-    normalizer, and :func:`kl_divergence` and :func:`relative_error` call it
-    on a fresh product. ``support`` is the :class:`Support` of the data,
-    shared by every object made for the same :class:`NonnegMatrix`; its
-    ``dense`` alone picks the ratio path.
+    The one evaluation of the objective: ``run()`` calls :meth:`of_product`
+    on its cached product and factor sums at its start and after every
+    sweep, without recomputing the support or the normalizer, and
+    :func:`kl_divergence`, :func:`relative_error`, ``klnmf solve`` and the
+    failure trace of :func:`~klnmf.benchmark.execute` call
+    :meth:`of_factors`, which forms the same product and sums from the
+    factors. ``support`` is the :class:`Support` of the data, shared by
+    every object made for the same :class:`NonnegMatrix`; its ``dense``
+    alone picks the ratio path, and its ``dense_slices`` the log pass.
 
-    The object itself is scratch, allocated on first use: an nnz-length
-    vector that every product is gathered into; ``ratio``, the m×n result of
-    :func:`support_ratio`, which stays exactly zero off the support; and
-    ``slice_scratch``, two m·n buffers of the Newton slices on dense data,
-    which do not keep that property. So an evaluation makes no fresh
-    temporary of either size, a returned ratio is overwritten by the next
-    call, and one object must not be shared across threads; each run makes
-    its own.
+    The object itself is scratch, allocated on first use: ``_wh``, an
+    nnz-length vector that a product is gathered into; ``ratio``, the m×n
+    result of :func:`support_ratio` on its support path, which stays
+    exactly zero off the support; ``work``, an m·n buffer that keeps
+    nothing between calls: the whole-matrix ratio of :func:`support_ratio`,
+    the ratio of a dense Newton slice and the logarithms of
+    :meth:`of_product`; and ``product``, the m·n copy of the product that a
+    W half of the dense Newton slices works on. A run allocates only the
+    buffers its paths use, so an evaluation makes no fresh temporary of
+    either size, a returned ratio is overwritten by the next call, and one
+    object must not be shared across threads; each run makes its own.
     """
 
     def __init__(self, V):
@@ -426,10 +442,12 @@ class KLObjective:
         return np.empty_like(self.support.values)
 
     @cached_property
-    def slice_scratch(self) -> np.ndarray:
-        """Two m·n buffers for the dense Newton slices: their ratio, and
-        the product of a W half, copied in C order."""
-        return np.empty((2, self.support.V.size))
+    def work(self) -> np.ndarray:
+        return np.empty(self.support.V.size)
+
+    @cached_property
+    def product(self) -> np.ndarray:
+        return np.empty(self.support.V.size)
 
     def gather(self, WH: np.ndarray) -> np.ndarray:
         """WH on the support, written into the object's nnz-length scratch."""
@@ -440,15 +458,40 @@ class KLObjective:
         # mode="raise" would buffer a fresh copy of its output on every call.
         return np.take(WH, support.index, out=self._wh, mode="clip")
 
-    def of_product(self, WH: np.ndarray) -> ExtendedObjective:
-        wh = self.gather(WH)
-        if wh.size and float(wh.min()) <= 0.0:
-            return ExtendedObjective.infinite()
+    def of_product(self, WH: np.ndarray,
+                   sums: tuple[np.ndarray, np.ndarray] | None = None,
+                   ) -> ExtendedObjective:
+        """The objective at the product ``WH``, in one pass over it.
+
+        ``sums`` are the column sums of W and the row sums of H, as
+        :class:`~klnmf.state.SolverState` keeps them; the linear term
+        sum(WH) is then their dot product, O(r) work, and ``WH.sum()``
+        without them. The log term is one BLAS dot: on data dense for the
+        slices (``Support.dense_slices``) whose product is positive
+        everywhere, of V with the logarithm of the whole product, taken
+        into ``work``, where each zero of V adds an exact zero; otherwise
+        of the nonzeros of V with the logarithm of the product gathered
+        there, and a zero among those makes the objective infinite. The two
+        ways agree to rounding. Once the scratch exists, a call on
+        C-contiguous data, as every :class:`NonnegMatrix` holds, allocates
+        nothing of size nnz or m·n.
+        """
         support = self.support
-        total = float(WH.sum()) + support.constant
-        if wh.size:
-            total -= float(support.values @ np.log(wh, out=wh))
-        return ExtendedObjective.finite(total)
+        if support.dense_slices and WH.shape == support.shape and WH.min() > 0:
+            logs = np.log(WH, out=self.work.reshape(WH.shape))
+            log_term = float(support.V.reshape(-1) @ logs.reshape(-1))
+        else:
+            wh = self.gather(WH)
+            if wh.size and float(wh.min()) <= 0.0:
+                return ExtendedObjective.infinite()
+            log_term = float(support.values @ np.log(wh, out=wh)) if wh.size else 0.0
+        linear = float(WH.sum()) if sums is None else float(sums[0] @ sums[1])
+        return ExtendedObjective.finite(linear + support.constant - log_term)
+
+    def of_factors(self, W: np.ndarray, H: np.ndarray) -> ExtendedObjective:
+        """The objective at (W, H): :meth:`of_product` of W @ H with the sums
+        of W and H, so bitwise the value ``run()`` records for them."""
+        return self.of_product(W @ H, (W.sum(axis=0), H.sum(axis=1)))
 
     def relative(self, objective: ExtendedObjective) -> float:
         if not objective.is_finite:

@@ -148,11 +148,15 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
 
     The initialization is copied into the state once, clamped up to the
     resolved epsilon (with a warning if that changes anything), and never
-    mutated. Samples are recorded at the initial point, after every
-    ``record_every`` outer sweeps, and after the sweep that stops the run;
-    every sample but the initial one is stamped at the end of its sweep,
-    before the stopping checks. Returns the best-objective iterate seen,
-    which for the monotone kinds is the last one.
+    mutated. The objective is evaluated once at the start and once after
+    every sweep, by :meth:`KLObjective.of_product` on the state's cached
+    product and factor sums, so a recorded value is bitwise what
+    :func:`~klnmf.objective.kl_divergence` gives for the same factors.
+    Samples are recorded at the initial point, after every ``record_every``
+    outer sweeps, and after the sweep that stops the run; every sample but
+    the initial one is stamped at the end of its sweep, before the stopping
+    checks. Returns the best-objective iterate seen, which for the monotone
+    kinds is the last one.
     """
     if init.W.shape != (instance.V.rows, instance.rank) or \
             init.H.shape != (instance.rank, instance.V.cols):
@@ -175,7 +179,7 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
             "convergence guarantee; use a positive epsilon", stacklevel=2)
 
     objective = KLObjective(instance.V)
-    obj = objective.of_product(state.WH)
+    obj = objective.of_product(state.WH, (state.col_sums_W, state.row_sums_H))
     if not obj.is_finite:
         raise SolverInitError(
             "objective is infinite at the initial point; use a strictly "
@@ -195,7 +199,8 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
             stepper(state)
             sweep += 1
             elapsed = time.perf_counter() - start
-            obj = objective.of_product(state.WH)
+            obj = objective.of_product(state.WH,
+                                       (state.col_sums_W, state.row_sums_H))
             if obj < best_obj:
                 best_obj = obj
                 best_W[...] = state.W

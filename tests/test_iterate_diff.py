@@ -48,3 +48,24 @@ def test_compare_flags_differing_and_missing_arrays(tmp_path, capsys):
     assert "DIFFERS  note: largest relative difference n/a" in out
     assert "MISSING  extra" in out
     assert "0 of 3 arrays bitwise equal" in out
+
+
+def test_nudged_toy_dump_moves_every_solve_but_not_its_sweeps(tmp_path, capsys):
+    dumps = {}
+    for name, flags in (("plain", []), ("nudged", ["--nudge"])):
+        dumps[name] = tmp_path / f"{name}.npz"
+        subprocess.run([sys.executable, str(_PATH), "dump", "--checkout", str(ROOT),
+                        "--out", str(dumps[name]), "--toy", *flags],
+                       check=True, capture_output=True, text=True)
+    assert iterate_diff.compare(dumps["plain"], dumps["nudged"]) == 1
+    with np.load(dumps["plain"]) as plain, np.load(dumps["nudged"]) as nudged:
+        assert set(plain.files) == set(nudged.files)
+        for workload in ("dense-poisson", "sparse-counts"):
+            for kind in iterate_diff.KINDS:
+                key = f"solve:{workload}:{kind}"
+                # The init moved, the sweeps run did not.
+                assert not all(np.array_equal(plain[f"{key}:{part}"],
+                                              nudged[f"{key}:{part}"])
+                               for part in ("W", "H", "objective"))
+                np.testing.assert_array_equal(plain[f"{key}:sweep"],
+                                              nudged[f"{key}:sweep"])

@@ -5,7 +5,10 @@ objective evaluation writes into. Reusing it must give bitwise
 what a fresh object gives, leave the ratio buffer zero off the support,
 never write the caller's product, and name error entries as the caller does.
 Its ratio is one whole-matrix divide on dense data and a divide on the
-support otherwise; both must give the bits of the textbook formula.
+support otherwise; both must give the bits of the textbook formula. Its
+objective takes the logarithm of the whole product on data dense for the
+Newton slices and of the product gathered on the support otherwise; both
+must agree with the textbook formula to rounding, without allocating.
 """
 import math
 import warnings
@@ -13,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_triple
+from conftest import each_slice_path, random_triple
 from test_scalar_newton import sparse_triple, very_sparse_triple
 from test_transpose_symmetry import zero_product_at_0_2
 from klnmf import (Factorization, NonDifferentiableError, ProblemInstance,
@@ -224,3 +227,78 @@ def test_nan_product_keeps_the_ratio_zero_off_the_support(rng):
     objective = KLObjective(V)
     assert objective.support.dense
     assert_same_bits(support_ratio(V, WH, objective), textbook_ratio(V, WH))
+
+
+def textbook_objective(V, WH):
+    on = V > 0
+    return float(WH.sum() - np.sum(V[on] * np.log(WH[on]))
+                 + np.sum(V[on] * np.log(V[on])) - V.sum())
+
+
+def rounding_bound(V, WH):
+    """A few ulps of the largest term sum of the objective at WH."""
+    on = V > 0
+    terms = (WH.sum() + np.sum(V[on] * np.abs(np.log(WH[on])))
+             + np.sum(V[on] * np.abs(np.log(V[on]))) + V.sum())
+    return 16 * np.finfo(float).eps * float(terms)
+
+
+def test_both_log_paths_agree_to_rounding(rng, monkeypatch):
+    for V, WH in ratio_cases(rng):
+        values = {}
+        for path in each_slice_path(monkeypatch):
+            objective = KLObjective(V)
+            values[path] = objective.of_product(WH).value
+            # Only the whole-matrix pass writes the work buffer, and only
+            # the gather the nnz-length one.
+            if np.count_nonzero(V):
+                assert ("work" in vars(objective)) == (path == "dense")
+                assert ("_wh" in vars(objective)) == (path == "support")
+        bound = rounding_bound(V, WH)
+        assert abs(values["dense"] - values["support"]) <= bound
+        assert abs(values["dense"] - textbook_objective(V, WH)) <= bound
+
+
+def test_zero_product_on_dense_data_on_both_log_paths(rng, monkeypatch):
+    """A zero of the product where V is positive makes the objective
+    infinite; one where V is zero adds nothing, on either log path."""
+    V = rng.uniform(0.5, 3.0, (7, 6))
+    V[2, 3] = 0.0
+    WH = rng.uniform(0.5, 2.0, V.shape)
+    on, off = WH.copy(), WH.copy()
+    on[4, 1] = 0.0
+    off[2, 3] = 0.0
+    for path in each_slice_path(monkeypatch):
+        objective = KLObjective(V)
+        assert objective.support.dense_slices == (path == "dense")
+        assert not objective.of_product(on).is_finite
+        got = objective.of_product(off)
+        assert got.is_finite
+        assert abs(got.value - textbook_objective(V, off)) <= rounding_bound(V, off)
+        # The same object still evaluates a positive product.
+        assert objective.of_product(WH) == KLObjective(V).of_product(WH)
+
+
+def test_of_product_allocates_nothing_of_data_size_after_the_first_call(
+        rng, monkeypatch):
+    import tracemalloc
+    m, n, r = 120, 90, 4
+    V = rng.poisson(2.0, (m, n)) * (rng.random((m, n)) < 0.7) + 0.0
+    W, H = rng.uniform(0.2, 1.0, (m, r)), rng.uniform(0.2, 1.0, (r, n))
+    WH, sums = W @ H, (W.sum(axis=0), H.sum(axis=1))
+    zero = WH.copy()
+    zero[tuple(np.argwhere(V > 0)[0])] = 0.0
+    smallest = np.count_nonzero(V)  # bytes of a boolean nnz-length mask
+    for path in each_slice_path(monkeypatch):
+        objective = KLObjective(V)
+        objective.of_product(WH, sums)
+        objective.of_product(zero)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for args in ((WH, sums), (WH,), (zero, sums)):
+                objective.of_product(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < smallest // 4, path

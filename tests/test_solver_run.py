@@ -75,6 +75,23 @@ class TestRun:
         got = kl_divergence(instance.V, pair.W, pair.H).value
         assert got <= best * (1 + 1e-9) + 1e-12
 
+    @pytest.mark.parametrize("density", [1.0, 0.3])
+    @pytest.mark.parametrize("kind", ["mu", "bmd", "sn", "snmu", "ccd"])
+    def test_trace_value_of_returned_iterate_is_fresh_evaluation(
+            self, rng, kind, density):
+        # The run evaluates its cached product and factor sums, a fresh
+        # evaluation forms both from the factors: the bits must agree, on
+        # the whole-matrix log pass (density 1) and on the gathered one.
+        m, n, r = 30, 24, 3
+        V = rng.poisson(3.0, (m, n)) * (rng.random((m, n)) < density) + 0.0
+        instance = ProblemInstance(V=NonnegMatrix(V), rank=r)
+        assert instance.V.support.dense_slices == (density == 1.0)
+        init = init_random_scaled(m, n, r, V, 5)
+        pair, trace = run(instance, init,
+                          SolverConfig(kind=kind, max_outer_iters=12))
+        best = min(s.objective for s in trace.samples)
+        assert kl_divergence(V, pair.W.values, pair.H.values) == best
+
     def test_infinite_init_objective_raises(self, rng):
         V = NonnegMatrix(np.ones((2, 2)))
         instance = ProblemInstance(V=V, rank=1)

@@ -22,6 +22,12 @@ index, the plan's final errors and failure notes, and never a timestamp.
 few seconds. Capped runs repeat bitwise, so two dumps of one checkout are
 bitwise equal.
 
+``--nudge`` moves every entry of every initial W and H up by one ulp
+(``numpy.nextafter`` towards +inf) before the runs and sweeps start. The
+compare of a checkout's plain dump with its nudged dump measures how far
+rounding alone moves each output: the noise floor against which a change
+of summation order is judged.
+
 ``compare`` prints, for every array, whether the two dumps hold it bitwise
 equal and its largest relative difference, and exits 1 if any array
 differs or is missing from one dump.
@@ -63,7 +69,18 @@ def _trace_arrays(out: dict, key: str, trace) -> None:
     out[f"{key}:sweep"] = np.array([s.sweep for s in trace.samples])
 
 
-def _solve_runs(out: dict, instances, toy: bool, tmp: Path) -> None:
+def _nudged(A):
+    """A with every entry one ulp larger."""
+    import numpy as np
+    return np.nextafter(A, np.inf)
+
+
+def _nudged_pair(pair):
+    from klnmf.matrices import Factorization
+    return Factorization(_nudged(pair.W.values), _nudged(pair.H.values))
+
+
+def _solve_runs(out: dict, instances, toy: bool, nudge: bool, tmp: Path) -> None:
     import numpy as np
     from klnmf.solver import SolverConfig, run
     reference = instances.load_reference()
@@ -75,11 +92,12 @@ def _solve_runs(out: dict, instances, toy: bool, tmp: Path) -> None:
             problem = instances.sparse_setup(spec, path)
         else:
             problem = instances.dense_setup(spec)
+        init = _nudged_pair(problem.init) if nudge else problem.init
         for kind in KINDS:
             cap = TOY_CAP if toy else spec["sweeps_hint"][kind] + 5
             key = f"solve:{name}:{kind}"
             try:
-                pair, trace = run(problem.instance, problem.init,
+                pair, trace = run(problem.instance, init,
                                   SolverConfig(kind=kind, max_outer_iters=cap))
             except Exception as exc:  # noqa: BLE001 - failures are data here
                 out[f"{key}:failure"] = np.array(f"{type(exc).__name__}: {exc}")
@@ -89,7 +107,7 @@ def _solve_runs(out: dict, instances, toy: bool, tmp: Path) -> None:
             _trace_arrays(out, key, trace)
 
 
-def _sweeps(out: dict, toy: bool) -> None:
+def _sweeps(out: dict, toy: bool, nudge: bool) -> None:
     import numpy as np
     from klnmf.solver import MACHINE_EPS
     from klnmf.scalar_newton import ccd_sweep, sn_sweep
@@ -104,6 +122,8 @@ def _sweeps(out: dict, toy: bool) -> None:
         V = rng.uniform(0.0, 3.0, (m, n)) * (rng.random((m, n)) < density)
         W = rng.uniform(0.1, 2.0, (m, r))
         H = rng.uniform(0.1, 2.0, (r, n))
+        if nudge:
+            W, H = _nudged(W), _nudged(H)
         for layout, (data, W0, H0) in {"raw": (V, W, H),
                                        "transposed": (V.T, H.T, W.T)}.items():
             for kind, (step, epsilon) in steps.items():
@@ -121,10 +141,17 @@ def _sweeps(out: dict, toy: bool) -> None:
                     out[f"{key}:failure"] = np.array(note)
 
 
-def _plan_runs(out: dict, instances, toy: bool) -> None:
+def _plan_runs(out: dict, instances, toy: bool, nudge: bool) -> None:
     import numpy as np
-    from klnmf.benchmark import BenchPlan, execute
-    outcome = execute(BenchPlan.from_dict(instances.load_plan_dict(toy=toy)))
+    from klnmf import benchmark
+    draw = benchmark.init_random_scaled
+    if nudge:
+        benchmark.init_random_scaled = lambda *args: _nudged_pair(draw(*args))
+    try:
+        outcome = benchmark.execute(benchmark.BenchPlan.from_dict(
+            instances.load_plan_dict(toy=toy)))
+    finally:
+        benchmark.init_random_scaled = draw
     for trace, result in zip(outcome.traces, outcome.results):
         key = f"plan:{result.run_id}"
         _trace_arrays(out, key, trace)
@@ -132,14 +159,14 @@ def _plan_runs(out: dict, instances, toy: bool) -> None:
         out[f"{key}:failure"] = np.array(result.failure or "")
 
 
-def dump(checkout: Path, path: Path, toy: bool) -> None:
+def dump(checkout: Path, path: Path, toy: bool, nudge: bool = False) -> None:
     instances = _load(checkout)
     import numpy as np
     out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
-        _solve_runs(out, instances, toy, Path(tmp))
-    _sweeps(out, toy)
-    _plan_runs(out, instances, toy)
+        _solve_runs(out, instances, toy, nudge, Path(tmp))
+    _sweeps(out, toy, nudge)
+    _plan_runs(out, instances, toy, nudge)
     np.savez(path, **out)
     print(f"iterate_diff: {len(out)} arrays from {checkout} -> {path}")
 
@@ -192,12 +219,14 @@ def main(argv=None) -> int:
     dumper.add_argument("--out", type=Path, required=True)
     dumper.add_argument("--toy", action="store_true",
                         help="toy instances, toy plan and fewer sweeps")
+    dumper.add_argument("--nudge", action="store_true",
+                        help="move every initial factor entry up by one ulp")
     comparer = sub.add_parser("compare", help="compare two dumps array by array")
     comparer.add_argument("first", type=Path)
     comparer.add_argument("second", type=Path)
     args = parser.parse_args(argv)
     if args.command == "dump":
-        dump(args.checkout, args.out, args.toy)
+        dump(args.checkout, args.out, args.toy, args.nudge)
         return 0
     return compare(args.first, args.second)
 
