@@ -40,10 +40,10 @@ DENSE_RATIO_DENSITY = 0.3
 #: at every density.
 #:
 #: The same density makes :meth:`KLObjective.of_product` take the logarithm
-#: of the whole product. On the same VM its log pass costs the same as the
-#: gather of the nonzeros at about 0.6 on 200x200 and 100x80, and takes
-#: 1.2-2.3 times as long as the gather between 0.3 and 0.5, so the lower
-#: ``DENSE_RATIO_DENSITY`` would make it slower there.
+#: of the whole product. On the same VM, on 100x80 to 600x400, that log pass
+#: takes 0.67-0.96 times as long as the gathered one at density 0.9,
+#: 0.98-1.24 times at 0.6 and 1.1-2.3 times between 0.3 and 0.5, so the
+#: lower ``DENSE_RATIO_DENSITY`` would make it slower.
 DENSE_SLICE_DENSITY = 0.6
 
 

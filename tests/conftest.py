@@ -6,7 +6,8 @@ import pytest
 from klnmf import objective
 
 #: Values of DENSE_SLICE_DENSITY that send every Newton sweep down one slice
-#: path: the support path never counts data as dense, the dense path always.
+#: path, and every objective evaluation down the matching log pass: the
+#: support path never counts data as dense, the dense path always.
 SLICE_PATHS = {"support": math.inf, "dense": 0.0}
 
 

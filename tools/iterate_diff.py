@@ -159,7 +159,7 @@ def _plan_runs(out: dict, instances, toy: bool, nudge: bool) -> None:
         out[f"{key}:failure"] = np.array(result.failure or "")
 
 
-def dump(checkout: Path, path: Path, toy: bool, nudge: bool = False) -> None:
+def dump(checkout: Path, path: Path, toy: bool, nudge: bool) -> None:
     instances = _load(checkout)
     import numpy as np
     out: dict = {}
