@@ -144,7 +144,8 @@ def performance_profile(results, rho_grid) -> dict[str, np.ndarray]:
 
 def summary_stats(results) -> dict[str, dict[str, tuple[float, float]]]:
     """Sample mean and standard deviation (divisor N-1) of final errors,
-    per dataset class and solver. A single run yields a NaN deviation."""
+    per dataset class and solver. A single run yields a NaN deviation, and
+    a failed run among finished ones an infinite mean and a NaN deviation."""
     table: dict[str, dict[str, list[float]]] = {}
     for res in results:
         table.setdefault(res.class_label, {}).setdefault(res.solver, []).append(
@@ -156,6 +157,8 @@ def summary_stats(results) -> dict[str, dict[str, tuple[float, float]]]:
             arr = np.array(errors)
             if np.all(arr == arr[0]):  # exact for constant samples
                 mean, std = float(arr[0]), 0.0
+            elif np.isinf(arr).any():  # inf - inf: no deviation
+                mean, std = math.inf, math.nan
             else:
                 mean, std = float(arr.mean()), float(arr.std(ddof=1))
             if arr.size < 2:

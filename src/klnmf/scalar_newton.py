@@ -25,15 +25,15 @@ On sparse data a slice reads only the support of V
 :class:`~klnmf.matrices.NonnegMatrix` builds once, on first use, and every
 run and thread shares. Its ``orders`` list the nonzeros in the order each
 half reduces over: column by column for H, row by row for W. The
-derivatives of a slice are then per-segment sums (``np.add.reduceat``), and
-the product is carried on the support only, as a vector updated in place
-and reordered between the halves. Such a sweep allocates four nnz-length
-vectors (the support product, the ratio, a work vector and the W column at
-the nonzeros) and, per half, six buffers with one entry per entry of a row
-of that half's H with data (the derivatives f1 and f2, the targets, the
-decrements, the steps and the row's own entries there). A slice computes on
-those entries only; an entry without data has no curvature and is set
-directly.
+derivatives of a slice are then per-segment sums (``np.add.reduceat``).
+Each half gathers the product at its nonzeros into a vector, updates that
+vector in place and writes it back there at its end. Such a sweep
+allocates four nnz-length vectors (the support product, the ratio, a work
+vector and the W column at the nonzeros) and, per half, six buffers with
+one entry per entry of a row of that half's H with data (the derivatives
+f1 and f2, the targets, the decrements, the steps and the row's own entries
+there). A slice computes on those entries only; an entry without data has
+no curvature and is set directly.
 
 On dense data a slice works on the whole matrix: R = V/WH is one divide,
 f1 = colsum - w·R one BLAS matrix-vector product, R/WH a second divide in
@@ -176,10 +176,7 @@ def _support_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
     when colsum > 0 and stays put otherwise, and leaves the product alone.
     """
     f1, f2, s, lam, step, xs = scratch
-    if order.full:
-        xs = x
-    else:
-        np.take(x, order.segments, out=xs, mode="clip")
+    np.take(x, order.segments, out=xs, mode="clip")
     np.divide(order.values, wh, out=ratio)
     np.multiply(ratio, w, out=work)
     np.add.reduceat(work, order.starts, out=f1)
@@ -194,12 +191,9 @@ def _support_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
     ratio *= w
     np.add.reduceat(ratio, order.starts, out=f2)
     _newton_targets(xs, f1, f2, c, epsilon, damped, s, lam, step)
-    if order.full:
-        np.copyto(x, s)
-    else:
-        x[order.segments] = s
-        if colsum > 0:
-            x[order.empty] = epsilon
+    x[order.segments] = s
+    if colsum > 0:
+        x[order.empty] = epsilon
     np.take(step, order.owners, out=work, mode="clip")
     work *= w
     wh += work
@@ -208,26 +202,19 @@ def _support_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
 def _support_halves(support, state, constants, epsilon, inner_repeats,
                     h_first, damped, floor):
     c_rows, c_cols = constants
-    # Support buffers, allocated once per sweep; wh starts in row order. The
-    # indices are in range by construction, and take(out=) with the default
-    # mode="raise" would buffer a fresh copy of its output on every call.
-    wh = np.take(state.WH, support.index)
-    ratio, work, w = (np.empty_like(wh) for _ in range(3))
-    in_row_order = True
+    n = support.shape[1]
+    # A view of WH, or, when WH is not C-contiguous, a copy that carries the
+    # product between the halves; resync() rewrites WH after the sweep.
+    product = state.WH.reshape(-1)
+    # Support buffers, allocated once per sweep. The indices are in range by
+    # construction, and take(out=) with the default mode="raise" would
+    # buffer a fresh copy of its output on every call.
+    wh, ratio, work, w = (np.empty(support.index.size) for _ in range(4))
     for half in state.halves(h_first):
-        if half.transposed != in_row_order:
-            if in_row_order:
-                np.take(wh, support.by_col, out=ratio, mode="clip")
-            else:
-                ratio[support.by_col] = wh
-            wh, ratio = ratio, wh
-            in_row_order = half.transposed
         order = support.orders[half.transposed]
-        entry = partial(support.caller_entry,
-                        in_column_order=not half.transposed)
-        c = c_rows if half.transposed else c_cols
-        if not order.full:
-            c = c[order.segments]
+        np.take(product, order.flat, out=wh, mode="clip")
+        entry = lambda p: divmod(int(order.flat[p]), n)  # noqa: E731
+        c = (c_rows if half.transposed else c_cols)[order.segments]
         # Buffers of the half, one entry per entry of a row of its H with
         # data: f1, f2, s, lam, step and the row's entries there.
         scratch = tuple(np.empty((6, order.segments.size)))
@@ -238,6 +225,7 @@ def _support_halves(support, state, constants, epsilon, inner_repeats,
                 _positive_product(order.values, wh, floor, entry)
                 _support_slice(order, x, colsum, c, epsilon, damped, floor, w,
                                wh, ratio, work, scratch)
+        product[order.flat] = wh
         half.H.sum(axis=1, out=half.row_sums_H)
 
 

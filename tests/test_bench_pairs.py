@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: the statistics of BENCH_<n>.json from pairs of runs."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,49 @@ def test_compare_reports_spread_wins_and_faults():
     assert entry["correct"]["change"] == [True, True, False, True]
     assert entry["failed_of_attempted"]["change"][2] == "1/5"
     assert entry["minor_faults"] == {"sn.minor_faults": {"parent": 12.0, "change": 4.0}}
+
+
+def test_traced_seeds_are_paired_and_summarized(tmp_path, monkeypatch):
+    for side in bench_pairs.SIDES:
+        (tmp_path / side / "klbench").mkdir(parents=True)
+        (tmp_path / side / "klbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "sn.solve_s", "better": "lower"}],
+         "per_layer": [{"name": "scalar_newton.slice_ms", "better": "lower"}]}))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = checkout.name
+        calls.append((side, seed, trace))
+        rec = record(0.4 if side == "parent" else 0.3, [7])
+        rec["result"]["machine"] = {"cpu": "x", "loadavg_at_start": seed}
+        if trace:
+            rec["summary"]["metrics"]["scalar_newton.slice_ms"] = {
+                "value": seed + (0.5 if side == "change" else 0.0), "unit": "ms"}
+        return rec
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--out", str(out), "--what", "test", "--workloads", "sparse-counts",
+        "--first-seed", "1", "--pairs", "2", "--traced-seed", "5", "6", "7"]) == 0
+    # One traced run per side and seed, the parent first on even seeds.
+    assert [c for c in calls if c[2]] == [
+        ("change", 5, 1), ("parent", 5, 1), ("parent", 6, 1), ("change", 6, 1),
+        ("change", 7, 1), ("parent", 7, 1)]
+    bench = json.loads(out.read_text())
+    assert bench["machine"] == {"cpu": "x"}
+    traced = bench["traced"]
+    assert traced["seeds"] == [5, 6, 7]
+    entry = traced["workloads"]["sparse-counts"]
+    assert entry["pairs"] == 3
+    metric = entry["metrics"]["scalar_newton.slice_ms"]
+    assert metric["parent"]["runs"] == [5.0, 6.0, 7.0]
+    assert metric["change"]["median"] == 6.5
+    assert metric["change_wins"] == "0/3"
+    assert entry["metrics"]["sn.solve_s"]["change_wins"] == "3/3"
+    assert entry["minor_faults"] == {"sn.minor_faults": {"parent": 7.0, "change": 7.0}}
+    untraced = bench["workloads"]["sparse-counts"]
+    assert untraced["pairs"] == 2
+    assert "scalar_newton.slice_ms" not in untraced["metrics"]

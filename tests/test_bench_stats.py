@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,15 @@ class TestSummaryStats:
     def test_single_run_has_nan_std(self):
         mean, std = summary_stats([result("mu", 0.7)])["class-a"]["mu"]
         assert mean == 0.7 and math.isnan(std)
+
+    def test_failed_and_finished_runs_have_infinite_mean(self):
+        # A failed run has an infinite error; its deviation from an infinite
+        # mean is undefined, and computing it would warn on inf - inf.
+        results = [result("mu", math.inf), result("mu", 0.5, matrix_id="m1")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mean, std = summary_stats(results)["class-a"]["mu"]
+        assert mean == math.inf and math.isnan(std)
 
     def test_classes_kept_separate(self):
         results = [result("mu", 1.0, label="class-a"),

@@ -273,13 +273,15 @@ class TestSweeps:
                             atol=atol * np.abs(want).max())
 
     def test_inputs_reach_their_branches(self, rng):
-        full = {flat_curvature_triple: (False, True),
-                column_gap_triple: (False, True),
-                damped_triple: (True, True),
-                sparse_triple: (False, False)}
-        for make, want in full.items():
+        # Per half (H, W): whether every entry of a row of its H has data.
+        no_empty = {flat_curvature_triple: (False, True),
+                    column_gap_triple: (False, True),
+                    damped_triple: (True, True),
+                    sparse_triple: (False, False)}
+        for make, want in no_empty.items():
             V, W, H = make(rng)
-            assert tuple(order.full for order in Support(V).orders) == want
+            assert tuple(order.empty.size == 0
+                         for order in Support(V).orders) == want
         V, W, H = damped_triple(rng)
         kinds = []
         sequential_sweep(V, W, H, 0.0, 1, True, kinds)
@@ -336,6 +338,32 @@ class TestSweeps:
         ccd_sweep(V, state, epsilon=0.0)
         assert np.all(np.isfinite(state.W))
         assert np.all(np.isfinite(state.H))
+
+
+class TestSupportOrders:
+    def test_orders_name_each_nonzero_by_its_flat_index(self, rng):
+        # Random sparse data with empty rows and columns. The H half reads
+        # the nonzeros column by column, the W half row by row.
+        for _ in range(5):
+            m, n = (int(d) for d in rng.integers(4, 12, size=2))
+            V = rng.uniform(0.5, 2.0, (m, n)) * (rng.random((m, n)) < 0.3)
+            V[rng.integers(m), :] = 0.0
+            V[:, rng.integers(n)] = 0.0
+            support = Support(V)
+            for transposed, order in enumerate(support.orders):
+                np.testing.assert_array_equal(np.sort(order.flat),
+                                              support.index)
+                np.testing.assert_array_equal(V.reshape(-1)[order.flat],
+                                              order.values)
+                i, j = np.divmod(order.flat, n)
+                rows, cols = (j, i) if transposed else (i, j)
+                np.testing.assert_array_equal(rows, order.rows)
+                np.testing.assert_array_equal(cols,
+                                              order.segments[order.owners])
+                assert np.all(np.diff(cols) >= 0)
+                np.testing.assert_array_equal(
+                    order.empty, np.flatnonzero(~V.any(axis=transposed)))
+                assert order.empty.size > 0
 
 
 def zero_product_off_the_support():

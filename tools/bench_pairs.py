@@ -4,7 +4,8 @@
     git archive --prefix=parent/ <parent-commit> | tar x -C ../cmp
     git archive --prefix=change/ <change-commit> | tar x -C ../cmp
     python3 tools/bench_pairs.py --parent ../cmp/parent --change ../cmp/change \\
-        --first-seed 61 --pairs 10 --traced-seed 71 --what "..." --out BENCH_<n>.json
+        --first-seed 61 --pairs 10 --traced-seed 71 72 73 --what "..." \\
+        --out BENCH_<n>.json
 
 For every workload and seed it runs ``python3 klbench/run.py --workload <w>
 --seed <s> --seconds <t> --trace 0`` once in each checkout, one process at a
@@ -12,7 +13,8 @@ time, the parent first on even seeds and the change first on odd ones. Each
 side reads its own ``klbench/`` and ``src/``, so both measure with the
 benchmark code of their own commit; compare commits whose ``klbench/`` is
 the same. With ``--traced-seed`` each side then makes one traced run per
-workload for the per-layer figures.
+workload and traced seed, paired and summarized the same way, for the
+per-layer figures.
 
 The output has the shape of the earlier ``BENCH_<n>.json`` files: per
 workload and end-to-end metric, each side's median, quartiles
@@ -55,8 +57,9 @@ def _parse(argv):
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
                         default=list(WORKLOADS))
-    parser.add_argument("--traced-seed", type=int,
-                        help="seed of one traced run per side and workload")
+    parser.add_argument("--traced-seed", type=int, nargs="+", default=[],
+                        help="seeds of the traced runs, one run per seed, "
+                             "side and workload")
     parser.add_argument("--work", type=Path,
                         help="directory that keeps every run's record")
     args = parser.parse_args(argv)
@@ -156,15 +159,6 @@ def compare(pairs: list[dict], better: dict[str, str]) -> dict:
     return entry
 
 
-def traced_entry(record: dict) -> dict:
-    summary = record["summary"]
-    return {**{name: metric["value"] for name, metric in summary["metrics"].items()},
-            **minor_faults(record["result"]),
-            "failed_of_attempted": failed_of_attempted(summary),
-            "correct": summary["correct"],
-            "notes": record["result"].get("notes", [])}
-
-
 def machine(result: dict) -> dict:
     """The run's machine block without what changes from run to run."""
     return {k: v for k, v in result["machine"].items() if k != "loadavg_at_start"}
@@ -178,16 +172,20 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"]
               for m in manifest["end_to_end"] + manifest["per_layer"]}
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-    workloads, host = {}, None
-    for workload in args.workloads:
+
+    def paired(workload, seeds, trace):
         pairs = []
         for seed in seeds:
             order = SIDES if seed % 2 == 0 else SIDES[::-1]
-            pair = {side: recorded_run(args.work, side, checkouts[side], workload,
-                                       seed, args.seconds, 0)
-                    for side in order}
-            host = host or machine(pair["change"]["result"])
-            pairs.append(pair)
+            pairs.append({side: recorded_run(args.work, side, checkouts[side],
+                                             workload, seed, args.seconds, trace)
+                          for side in order})
+        return pairs
+
+    workloads, host = {}, None
+    for workload in args.workloads:
+        pairs = paired(workload, seeds, 0)
+        host = host or machine(pairs[0]["change"]["result"])
         workloads[workload] = compare(pairs, better)
     bench = {
         "what": args.what,
@@ -203,21 +201,17 @@ def main(argv=None) -> int:
         "machine": host,
         "workloads": workloads,
     }
-    if args.traced_seed is not None:
-        traced = {}
-        for workload in args.workloads:
-            traced[workload] = {
-                side: traced_entry(recorded_run(args.work, side, checkouts[side],
-                                                workload, args.traced_seed,
-                                                args.seconds, 1))
-                for side in SIDES}
+    if args.traced_seed:
         bench["traced"] = {
-            "command": COMMAND.format(workload="<w>", seed=args.traced_seed,
+            "command": COMMAND.format(workload="<w>", seed="<s>",
                                       seconds=args.seconds, trace=1),
-            "note": "one traced run per side and workload; per-layer medians of "
-                    "self time per call; minor_faults are the median per solve "
-                    "over the run's rounds",
-            "workloads": traced,
+            "seeds": args.traced_seed,
+            "note": "one traced run per side, workload and seed, paired and "
+                    "summarized as the untraced runs are; each run's per-layer "
+                    "figures are medians of self time per call",
+            "workloads": {workload: compare(paired(workload, args.traced_seed, 1),
+                                            better)
+                          for workload in args.workloads},
         }
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=1)
