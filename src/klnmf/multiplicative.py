@@ -42,8 +42,7 @@ def _mu_half(ratio, state, epsilon):
         k = np.flatnonzero(state.col_sums_W <= 0)[0]
         raise DegenerateInputError(_ZERO_LOCKING[state.transposed].format(k))
     H = state.H
-    # Built in H's layout (transposed on a W half) so the multiply streams.
-    H *= np.matmul(state.W.T, ratio, out=np.empty_like(H))
+    H *= state.W.T @ ratio
     H /= state.col_sums_W[:, None]
     if epsilon > 0:
         np.maximum(H, epsilon, out=H)

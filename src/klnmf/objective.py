@@ -141,7 +141,7 @@ def support_ratio(V: np.ndarray, WH: np.ndarray,
     support = objective.support
     # min() is NaN, and so not positive, if the product has a NaN.
     if support.dense and WH.shape == support.shape and WH.min() > 0:
-        return np.divide(support.V, WH, out=objective.work.reshape(WH.shape))
+        return np.divide(support.V, WH, out=objective.work)
     wh = objective.gather(WH)
     if wh.size and wh.min() <= 0:
         raise NonDifferentiableError.at(
@@ -295,9 +295,8 @@ class Support:
     of the objective do. Built on first use: the logarithm constants of the
     objective; for the Newton sweeps ``orders``, which give the slices on
     sparse data their layout and the index in V of each nonzero they read,
-    and ``curvature``, the read-only curvature constants of every sweep;
-    and for the slices on dense data ``contiguous``, which adds a read-only
-    C-contiguous copy of V.T (and of V, when V itself is not C-contiguous).
+    and ``curvature``, the read-only curvature constants of every sweep.
+    The slices on dense data read V itself, and V.T as a view.
 
     Nothing here is written once built and nothing is scratch, so a
     :class:`~klnmf.matrices.NonnegMatrix` builds its support once and every
@@ -344,18 +343,6 @@ class Support:
         ``DENSE_SLICE_DENSITY``)."""
         return (self.index.size > 0
                 and self.index.size >= DENSE_SLICE_DENSITY * self.V.size)
-
-    @cached_property
-    def contiguous(self) -> tuple[np.ndarray, np.ndarray]:
-        """V and V.T, each C-contiguous, indexed by
-        ``SolverState.transposed``: the data of the two halves of a dense
-        Newton sweep. Each is V, or a view of it, when V already has that
-        layout, and a copy otherwise; all but V itself are read-only."""
-        contiguous = tuple(np.ascontiguousarray(A) for A in (self.V, self.V.T))
-        for A in contiguous:
-            if A is not self.V:
-                A.flags.writeable = False
-        return contiguous
 
     @cached_property
     def orders(self) -> tuple[_Order, _Order]:
@@ -408,14 +395,14 @@ class KLObjective:
     The object itself is scratch, allocated on first use: ``_wh``, an
     nnz-length vector that a product is gathered into; ``ratio``, the m×n
     result of :func:`support_ratio` on its support path, which stays
-    exactly zero off the support; ``work``, an m·n buffer that keeps
-    nothing between calls: the whole-matrix ratio of :func:`support_ratio`,
-    the ratio of a dense Newton slice and the logarithms of
-    :meth:`of_product`; and ``product``, the m·n copy of the product that a
-    W half of the dense Newton slices works on. A run allocates only the
-    buffers its paths use, so an evaluation makes no fresh temporary of
-    either size, a returned ratio is overwritten by the next call, and one
-    object must not be shared across threads; each run makes its own.
+    exactly zero off the support; and ``work``, a buffer of V's shape and
+    memory layout that keeps nothing between calls: the whole-matrix ratio
+    of :func:`support_ratio`, the ratio of a dense Newton slice (transposed
+    on a W half) and the logarithms of :meth:`of_product`. A run allocates
+    only the buffers its paths use, so an evaluation makes no fresh
+    temporary of either size, a returned ratio is overwritten by the next
+    call, and one object must not be shared across threads; each run makes
+    its own.
     """
 
     def __init__(self, V):
@@ -431,11 +418,7 @@ class KLObjective:
 
     @cached_property
     def work(self) -> np.ndarray:
-        return np.empty(self.support.V.size)
-
-    @cached_property
-    def product(self) -> np.ndarray:
-        return np.empty(self.support.V.size)
+        return np.empty_like(self.support.V)
 
     def gather(self, WH: np.ndarray) -> np.ndarray:
         """WH on the support, written into the object's nnz-length scratch."""
@@ -466,7 +449,7 @@ class KLObjective:
         """
         support = self.support
         if support.dense_slices and WH.shape == support.shape and WH.min() > 0:
-            logs = np.log(WH, out=self.work.reshape(WH.shape))
+            logs = np.log(WH, out=self.work)
             log_term = float(support.V.reshape(-1) @ logs.reshape(-1))
         else:
             wh = self.gather(WH)

@@ -39,13 +39,13 @@ On dense data a slice works on the whole matrix: R = V/WH is one divide,
 f1 = colsum - w·R one BLAS matrix-vector product, R/WH a second divide in
 place and f2 = (w∘w)·R a second product; then WH += w ⊗ step, the outer
 product formed into R by a BLAS product with inner size 1. Every entry
-of the row is updated, an entry without data by the flat rule. Both halves
-run this on C-contiguous arrays: V.T is kept on the support, and the W half
-copies WH.T into scratch at its start and back at its end. The two m·n
-buffers (R and that copy) are the ``work`` and ``product`` scratch of the
-run's :class:`~klnmf.objective.KLObjective`; per half, a sweep allocates
-the W column, its square and five buffers with one entry per entry of a row
-of H (f1, f2, the targets, the decrements and the steps).
+of the row is updated, an entry without data by the flat rule. The W half
+runs this on the views V.T and WH.T, and copies neither. R is the ``work``
+buffer of the run's :class:`~klnmf.objective.KLObjective`, which has V's
+shape and layout, so the W half reads it transposed too; the rank-1 update
+is then formed into R.T with its operands swapped. Per half, a sweep
+allocates the W column, its square and five buffers with one entry per
+entry of a row of H (f1, f2, the targets, the decrements and the steps).
 
 On either path one guard, :func:`_positive_product`, runs before every
 slice: ccd floors the product; sn raises at the caller's (i, j) where it is
@@ -234,8 +234,8 @@ def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor, w, ww,
     """Newton update of ``x``, row k of a half's H (a view written in
     place), with the whole product ``WH`` adjusted in place.
 
-    ``V`` and ``WH`` are C-contiguous, in the half's orientation, and ``R``
-    is scratch of their shape. ``w`` is column k of W, ``ww`` its square,
+    ``V``, ``WH`` and the scratch ``R`` are in the half's orientation,
+    each C- or F-ordered. ``w`` is column k of W, ``ww`` its square,
     ``colsum`` its sum and ``c`` the curvature constants of every entry of
     x; ``scratch`` holds f1, f2, s, lam and step, one entry per entry of x.
     The caller keeps ``WH`` positive (see :func:`_positive_product`). An entry
@@ -256,23 +256,23 @@ def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor, w, ww,
     _newton_targets(x, f1, f2, c, epsilon, damped, s, lam, step)
     np.copyto(x, s)
     # A BLAS product with inner size 1: each w[i] * step[j] is one rounded
-    # product, as in np.multiply.outer, and the call is faster.
-    np.dot(w[:, None], step[None, :], out=R)
+    # product, as in np.multiply.outer, and the call is faster. Its out must
+    # be C-contiguous, so an F-ordered R takes the transposed product.
+    a, b, out = (w, step, R) if R.flags.c_contiguous else (step, w, R.T)
+    np.dot(a[:, None], b[None, :], out=out)
     WH += R
 
 
 def _dense_halves(support, objective, state, constants, epsilon,
                   inner_repeats, h_first, damped, floor):
     c_rows, c_cols = constants
-    ratio, product = objective.work, objective.product
     for half in state.halves(h_first):
-        V = support.contiguous[half.transposed]
-        R = ratio.reshape(V.shape)
-        WH = half.WH
-        if not WH.flags.c_contiguous:
-            WH = product.reshape(V.shape)
-            np.copyto(WH, half.WH)
-        # A position in the W half's C-ordered V.T is one in V in F order.
+        # Views, transposed on the W half. R takes V's layout, not the half's:
+        # then the W half of (V, W, H) and the H half of (V.T, H.T, W.T) run
+        # their matrix-vector products over R in one memory order, bitwise.
+        V, WH = half.oriented(support.V), half.WH
+        R = half.oriented(objective.work)
+        # A position in the W half's V.T is one in V in F order.
         entry = partial(np.unravel_index, shape=support.shape,
                         order="F" if half.transposed else "C")
         c = c_rows if half.transposed else c_cols
@@ -286,8 +286,6 @@ def _dense_halves(support, objective, state, constants, epsilon,
                 _positive_product(V, WH, floor, entry)
                 _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor,
                              w, ww, scratch)
-        if WH is not half.WH:
-            np.copyto(half.WH, WH)
         half.H.sum(axis=1, out=half.row_sums_H)
 
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _PATH = ROOT / "tools" / "iterate_diff.py"
@@ -50,13 +51,21 @@ def test_compare_flags_differing_and_missing_arrays(tmp_path, capsys):
     assert "0 of 3 arrays bitwise equal" in out
 
 
-def test_nudged_toy_dump_moves_every_solve_but_not_its_sweeps(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def plain_and_nudged(tmp_path_factory):
+    """Toy dumps of this checkout, plain and with the init nudged."""
+    tmp = tmp_path_factory.mktemp("dumps")
     dumps = {}
     for name, flags in (("plain", []), ("nudged", ["--nudge"])):
-        dumps[name] = tmp_path / f"{name}.npz"
+        dumps[name] = tmp / f"{name}.npz"
         subprocess.run([sys.executable, str(_PATH), "dump", "--checkout", str(ROOT),
                         "--out", str(dumps[name]), "--toy", *flags],
                        check=True, capture_output=True, text=True)
+    return dumps
+
+
+def test_nudged_toy_dump_moves_every_solve_but_not_its_sweeps(plain_and_nudged):
+    dumps = plain_and_nudged
     assert iterate_diff.compare(dumps["plain"], dumps["nudged"]) == 1
     with np.load(dumps["plain"]) as plain, np.load(dumps["nudged"]) as nudged:
         assert set(plain.files) == set(nudged.files)
@@ -69,3 +78,22 @@ def test_nudged_toy_dump_moves_every_solve_but_not_its_sweeps(tmp_path, capsys):
                                for part in ("W", "H", "objective"))
                 np.testing.assert_array_equal(plain[f"{key}:sweep"],
                                               nudged[f"{key}:sweep"])
+
+
+def test_floor_of_the_nudged_dump_itself_has_ratio_one(plain_and_nudged, capsys):
+    dumps = plain_and_nudged
+    assert iterate_diff.compare(dumps["plain"], dumps["nudged"],
+                                floor=dumps["nudged"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    differing = [line for line in lines if line.startswith("DIFFERS")]
+    classes = dict(line[len("class "):].split(": ", 1) for line in lines
+                   if line.startswith("class "))
+    assert differing and all(line.endswith("ratio 1") for line in differing)
+    with np.load(dumps["plain"]) as plain:
+        assert set(classes) == {iterate_diff._output_class(key)
+                                for key in plain.files}
+    assert {"plan:sn:final_error", "solve:dense-poisson:snmu:H",
+            "sweep:ccd:W"} <= set(classes)
+    assert all(summary.endswith("ratio 1") for summary in classes.values())
+    # At least one class moved, so its floor is not 0.
+    assert any("largest floor 0," not in summary for summary in classes.values())

@@ -8,10 +8,10 @@ import pytest
 
 import oracles
 from conftest import each_slice_path, random_triple
-from klnmf import (FULL_STEP_LAMBDA, NonDifferentiableError, NonnegMatrix,
-                   ProblemInstance, SolverConfig, SolverState, ccd_sweep,
-                   kl_divergence, scalar_newton, self_concordant_constants,
-                   sn_sweep, sn_update_scalar)
+from klnmf import (FULL_STEP_LAMBDA, KLObjective, NonDifferentiableError,
+                   NonnegMatrix, ProblemInstance, SolverConfig, SolverState,
+                   ccd_sweep, kl_divergence, scalar_newton,
+                   self_concordant_constants, sn_sweep, sn_update_scalar)
 from klnmf.benchmark import BenchPlan, execute
 from klnmf.objective import DENSE_SLICE_DENSITY, Support
 from klnmf.solver import run
@@ -424,6 +424,29 @@ class TestSlicePaths:
             state = SolverState.from_factors(W, H)
             with pytest.raises(NonDifferentiableError, match=r"\(0, 2\)"):
                 sn_sweep(V, state, 0.0, h_first=h_first)
+
+    @pytest.mark.parametrize("sweep", [sn_sweep, ccd_sweep])
+    def test_dense_sweep_keeps_no_copy_of_the_data(self, rng, sweep):
+        # Both halves read V and the product, or their transposed views, and
+        # the ratio goes into the objective's one buffer of V's layout.
+        import tracemalloc
+        m, n, r = 120, 90, 4
+        V = NonnegMatrix(rng.poisson(rng.uniform(0.0, 1.0, (m, r))
+                                     @ rng.uniform(0.0, 4.0, (r, n))) + 1.0)
+        assert V.support.dense_slices
+        constants = self_concordant_constants(V)
+        objective = KLObjective(V)
+        state = SolverState.from_factors(rng.uniform(0.2, 1.0, (m, r)),
+                                         rng.uniform(0.2, 1.0, (r, n)))
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                sweep(V, state, 1e-9, constants=constants, objective=objective)
+                peaks.append(tracemalloc.get_traced_memory()[1] / (m * n * 8))
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 1.5 and peaks[1] < 0.25, peaks
 
     def test_paths_agree_on_the_plan_and_on_dense_poisson(self, monkeypatch):
         # The capped sn and snmu runs of the reference plan's dense

@@ -6,6 +6,8 @@
     python3 tools/iterate_diff.py dump --checkout ../cmp/parent --out parent.npz
     python3 tools/iterate_diff.py dump --checkout ../cmp/change --out change.npz
     python3 tools/iterate_diff.py compare parent.npz change.npz
+    python3 tools/iterate_diff.py dump --checkout ../cmp/parent --out nudged.npz --nudge
+    python3 tools/iterate_diff.py compare parent.npz change.npz --floor nudged.npz
 
 ``dump`` imports ``klnmf`` from the checkout's ``src/`` and the instances
 from its ``klbench/``, with every BLAS pool pinned to one thread, and runs:
@@ -30,7 +32,14 @@ of summation order is judged.
 
 ``compare`` prints, for every array, whether the two dumps hold it bitwise
 equal and its largest relative difference, and exits 1 if any array
-differs or is missing from one dump.
+differs or is missing from one dump. With ``--floor``, a dump of the first
+checkout made with ``--nudge``, it also prints for every differing array
+the floor (the largest relative difference between the first dump and the
+floor dump) and the ratio of the two, and ends with one line per output
+class, such as ``plan:sn:final_error``, ``solve:dense-poisson:snmu:H`` or
+``sweep:ccd:W``: the largest change over the class's arrays, the largest
+floor and their ratio. A change equal to its floor, 0 included, has ratio
+1; n/a marks an output that is not numeric.
 """
 from __future__ import annotations
 
@@ -190,11 +199,39 @@ def _largest_relative_difference(a, b) -> float:
     return float(rel.max()) if rel.size else 0.0
 
 
-def compare(first: Path, second: Path) -> int:
+def _output_class(key: str) -> str:
+    """The kind and output of ``key``, without its matrix, init or case."""
+    parts = key.split(":")
+    if parts[0] == "plan":  # plan:<matrix>-<init>-<kind>:<output>
+        return f"plan:{parts[1].rsplit('-', 1)[-1]}:{parts[-1]}"
+    if parts[0] == "sweep":  # sweep:<case>:<layout>:<kind>:h_first=<b>:<output>
+        return f"sweep:{parts[3]}:{parts[-1]}"
+    return key  # solve:<workload>:<kind>:<output>
+
+
+def _moved(a, b) -> float:
+    """0 for bitwise equal arrays, else their largest relative difference."""
+    return 0.0 if _bitwise_equal(a, b) else _largest_relative_difference(a, b)
+
+
+def _ratio(change: float, floor: float) -> float:
+    return 1.0 if change == floor else change / floor if floor else math.inf
+
+
+def _fmt(value: float) -> str:
+    return "n/a" if math.isnan(value) else f"{value:.3g}"
+
+
+def _load_dump(path: Path) -> dict:
     import numpy as np
-    with np.load(first) as fa, np.load(second) as fb:
-        a = {k: fa[k] for k in fa.files}
-        b = {k: fb[k] for k in fb.files}
+    with np.load(path) as dump:
+        return {k: dump[k] for k in dump.files}
+
+
+def compare(first: Path, second: Path, floor: Path | None = None) -> int:
+    a, b = _load_dump(first), _load_dump(second)
+    nudged = None if floor is None else _load_dump(floor)
+    classes: dict = {}
     differing = 0
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
@@ -204,8 +241,21 @@ def compare(first: Path, second: Path) -> int:
         equal = _bitwise_equal(a[key], b[key])
         differing += not equal
         rel = _largest_relative_difference(a[key], b[key])
-        print(f"{'equal' if equal else 'DIFFERS':8s} {key}: largest relative "
-              f"difference {'n/a' if math.isnan(rel) else f'{rel:.3g}'}")
+        line = (f"{'equal' if equal else 'DIFFERS':8s} {key}: largest relative "
+                f"difference {_fmt(rel)}")
+        if nudged is not None:
+            change = 0.0 if equal else rel
+            spread = _moved(a[key], nudged[key]) if key in nudged else math.nan
+            if not equal:
+                line += f", floor {_fmt(spread)}, ratio {_fmt(_ratio(change, spread))}"
+            largest = classes.setdefault(_output_class(key), [0.0, 0.0])
+            # max() would drop a nan that comes second.
+            largest[0] = math.nan if math.isnan(change) else max(largest[0], change)
+            largest[1] = math.nan if math.isnan(spread) else max(largest[1], spread)
+        print(line)
+    for name, (change, spread) in sorted(classes.items()):
+        print(f"class {name}: largest change {_fmt(change)}, largest floor "
+              f"{_fmt(spread)}, ratio {_fmt(_ratio(change, spread))}")
     print(f"iterate_diff: {len(a.keys() | b.keys()) - differing} of "
           f"{len(a.keys() | b.keys())} arrays bitwise equal")
     return 1 if differing else 0
@@ -224,11 +274,14 @@ def main(argv=None) -> int:
     comparer = sub.add_parser("compare", help="compare two dumps array by array")
     comparer.add_argument("first", type=Path)
     comparer.add_argument("second", type=Path)
+    comparer.add_argument("--floor", type=Path,
+                          help="the first checkout's --nudge dump, to print "
+                          "each difference against")
     args = parser.parse_args(argv)
     if args.command == "dump":
         dump(args.checkout, args.out, args.toy, args.nudge)
         return 0
-    return compare(args.first, args.second)
+    return compare(args.first, args.second, args.floor)
 
 
 if __name__ == "__main__":
