@@ -7,9 +7,9 @@ dropped with the mend.
 import numpy as np
 import pytest
 
-from klnmf import (DegenerateInputError, KLObjective, NonnegMatrix, ProblemInstance, SolverConfig,
-                   SolverState, SyntheticSpec, generate, init_random_scaled,
-                   run, sn_sweep)
+from klnmf import (DegenerateInputError, KLObjective, NonnegMatrix,
+                   ProblemInstance, SolverConfig, SolverState, SyntheticSpec,
+                   generate, init_random_scaled, run, sn_sweep)
 from klnmf.solver import SOLVER_KINDS
 
 
