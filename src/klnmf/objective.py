@@ -395,14 +395,15 @@ class KLObjective:
     The object itself is scratch, allocated on first use: ``_wh``, an
     nnz-length vector that a product is gathered into; ``ratio``, the m×n
     result of :func:`support_ratio` on its support path, which stays
-    exactly zero off the support; and ``work``, a buffer of V's shape and
+    exactly zero off the support; ``work``, a buffer of V's shape and
     memory layout that keeps nothing between calls: the whole-matrix ratio
     of :func:`support_ratio`, the ratio of a dense Newton slice (transposed
-    on a W half) and the logarithms of :meth:`of_product`. A run allocates
-    only the buffers its paths use, so an evaluation makes no fresh
-    temporary of either size, a returned ratio is overwritten by the next
-    call, and one object must not be shared across threads; each run makes
-    its own.
+    on a W half) and the logarithms of :meth:`of_product`; and
+    :attr:`newton`, the workspace of the Newton sweeps. A run allocates
+    only the buffers its paths use, so an evaluation or a sweep makes no
+    fresh temporary of size nnz or m·n, a returned ratio is overwritten by
+    the next call, and one object must not be shared across threads; each
+    run makes its own.
     """
 
     def __init__(self, V):
@@ -419,6 +420,38 @@ class KLObjective:
     @cached_property
     def work(self) -> np.ndarray:
         return np.empty_like(self.support.V)
+
+    @cached_property
+    def newton(self) -> tuple[tuple, tuple]:
+        """What each half of a Newton sweep reads and writes besides the
+        factors and the product, indexed by ``SolverState.transposed``.
+
+        On data dense for the slices (``Support.dense_slices``) a half has
+        (V, R, c, w, ww, scratch): V and the ratio buffer ``work``, both
+        transposed on the W half; the curvature constants c of the entries of
+        a row of the half's H; the column w of W of a slice and its square
+        ww; and f1, f2, s, lam and step, one entry per entry of that row.
+        Otherwise it has (order, c, scratch, vectors): the half's order of
+        the nonzeros (``Support.orders``); the constants of the entries of a
+        row of H with data; f1, f2, s, lam, step and the row's entries
+        there; and four nnz-length vectors that both halves share: ``_wh``,
+        which carries the product at the nonzeros, the ratio, a work vector
+        and the column of W there.
+        """
+        support = self.support
+        c_rows, c_cols = support.curvature
+        if support.dense_slices:
+            # R keeps V's layout, not the half's: then the W half of (V, W, H)
+            # and the H half of (V.T, H.T, W.T) run their matrix-vector
+            # products over R in one memory order, bitwise.
+            return tuple((V, R, c, *np.empty((2, V.shape[0])),
+                          tuple(np.empty((5, V.shape[1]))))
+                         for V, R, c in ((support.V, self.work, c_cols),
+                                         (support.V.T, self.work.T, c_rows)))
+        vectors = (self._wh, *(np.empty(support.index.size) for _ in range(3)))
+        return tuple((order, c[order.segments],
+                      tuple(np.empty((6, order.segments.size))), vectors)
+                     for order, c in zip(support.orders, (c_cols, c_rows)))
 
     def gather(self, WH: np.ndarray) -> np.ndarray:
         """WH on the support, written into the object's nnz-length scratch."""

@@ -27,13 +27,13 @@ run and thread shares. Its ``orders`` list the nonzeros in the order each
 half reduces over: column by column for H, row by row for W. The
 derivatives of a slice are then per-segment sums (``np.add.reduceat``).
 Each half gathers the product at its nonzeros into a vector, updates that
-vector in place and writes it back there at its end. Such a sweep
-allocates four nnz-length vectors (the support product, the ratio, a work
-vector and the W column at the nonzeros) and, per half, six buffers with
-one entry per entry of a row of that half's H with data (the derivatives
-f1 and f2, the targets, the decrements, the steps and the row's own entries
-there). A slice computes on those entries only; an entry without data has
-no curvature and is set directly.
+vector in place and writes it back there at its end. Both halves share four
+nnz-length vectors (the support product, the ratio, a work vector and the W
+column at the nonzeros), and each has six buffers with one entry per entry
+of a row of its H with data (the derivatives f1 and f2, the targets, the
+decrements, the steps and the row's own entries there) and the curvature
+constants of those entries. A slice computes on those entries only; an
+entry without data has no curvature and is set directly.
 
 On dense data a slice works on the whole matrix: R = V/WH is one divide,
 f1 = colsum - w·R one BLAS matrix-vector product, R/WH a second divide in
@@ -43,9 +43,14 @@ of the row is updated, an entry without data by the flat rule. The W half
 runs this on the views V.T and WH.T, and copies neither. R is the ``work``
 buffer of the run's :class:`~klnmf.objective.KLObjective`, which has V's
 shape and layout, so the W half reads it transposed too; the rank-1 update
-is then formed into R.T with its operands swapped. Per half, a sweep
-allocates the W column, its square and five buffers with one entry per
-entry of a row of H (f1, f2, the targets, the decrements and the steps).
+is then formed into R.T with its operands swapped. Each half has the W
+column, its square and five buffers with one entry per entry of a row of
+its H (f1, f2, the targets, the decrements and the steps).
+
+These buffers, each half's layout of the data and its constants make up
+the workspace of the run's objective
+(:attr:`klnmf.objective.KLObjective.newton`), built once per run, so no
+sweep allocates anything of size nnz or m·n.
 
 On either path one guard, :func:`_positive_product`, runs before every
 slice: ccd floors the product; sn raises at the caller's (i, j) where it is
@@ -199,25 +204,19 @@ def _support_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
     wh += work
 
 
-def _support_halves(support, state, constants, epsilon, inner_repeats,
-                    h_first, damped, floor):
-    c_rows, c_cols = constants
-    n = support.shape[1]
+def _support_halves(objective, state, epsilon, inner_repeats, h_first,
+                    damped, floor):
+    n = objective.support.shape[1]
     # A view of WH, or, when WH is not C-contiguous, a copy that carries the
     # product between the halves; resync() rewrites WH after the sweep.
     product = state.WH.reshape(-1)
-    # Support buffers, allocated once per sweep. The indices are in range by
-    # construction, and take(out=) with the default mode="raise" would
-    # buffer a fresh copy of its output on every call.
-    wh, ratio, work, w = (np.empty(support.index.size) for _ in range(4))
     for half in state.halves(h_first):
-        order = support.orders[half.transposed]
+        order, c, scratch, (wh, ratio, work, w) = objective.newton[half.transposed]
+        # The indices are in range by construction, and take(out=) with the
+        # default mode="raise" would buffer a fresh copy of its output on
+        # every call.
         np.take(product, order.flat, out=wh, mode="clip")
         entry = lambda p: divmod(int(order.flat[p]), n)  # noqa: E731
-        c = (c_rows if half.transposed else c_cols)[order.segments]
-        # Buffers of the half, one entry per entry of a row of its H with
-        # data: f1, f2, s, lam, step and the row's entries there.
-        scratch = tuple(np.empty((6, order.segments.size)))
         for k in range(half.H.shape[0]):
             np.take(half.W[:, k], order.rows, out=w, mode="clip")
             x, colsum = half.H[k], half.col_sums_W[k]
@@ -263,67 +262,51 @@ def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor, w, ww,
     WH += R
 
 
-def _dense_halves(support, objective, state, constants, epsilon,
-                  inner_repeats, h_first, damped, floor):
-    c_rows, c_cols = constants
+def _dense_halves(objective, state, epsilon, inner_repeats, h_first, damped,
+                  floor):
     for half in state.halves(h_first):
-        # Views, transposed on the W half. R takes V's layout, not the half's:
-        # then the W half of (V, W, H) and the H half of (V.T, H.T, W.T) run
-        # their matrix-vector products over R in one memory order, bitwise.
-        V, WH = half.oriented(support.V), half.WH
-        R = half.oriented(objective.work)
+        V, R, c, w, ww, scratch = objective.newton[half.transposed]
         # A position in the W half's V.T is one in V in F order.
-        entry = partial(np.unravel_index, shape=support.shape,
+        entry = partial(np.unravel_index, shape=objective.support.shape,
                         order="F" if half.transposed else "C")
-        c = c_rows if half.transposed else c_cols
-        w, ww = np.empty((2, V.shape[0]))
-        scratch = tuple(np.empty((5, V.shape[1])))
         for k in range(half.H.shape[0]):
             np.copyto(w, half.W[:, k])
             np.multiply(w, w, out=ww)
             x, colsum = half.H[k], half.col_sums_W[k]
             for _ in range(inner_repeats):
-                _positive_product(V, WH, floor, entry)
-                _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor,
-                             w, ww, scratch)
+                _positive_product(V, half.WH, floor, entry)
+                _dense_slice(V, half.WH, R, x, colsum, c, epsilon, damped,
+                             floor, w, ww, scratch)
         half.H.sum(axis=1, out=half.row_sums_H)
 
 
-def _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first, damped,
-                  floor, objective):
+def _newton_sweep(V, state, epsilon, inner_repeats, h_first, damped, floor,
+                  objective):
     if objective is None:
         objective = KLObjective(V)
-    support = objective.support
-    if constants is None:
-        constants = support.curvature
-    if support.dense_slices:
-        _dense_halves(support, objective, state, constants, epsilon,
-                      inner_repeats, h_first, damped, floor)
-    else:
-        _support_halves(support, state, constants, epsilon, inner_repeats,
-                        h_first, damped, floor)
+    halves = _dense_halves if objective.support.dense_slices else _support_halves
+    halves(objective, state, epsilon, inner_repeats, h_first, damped, floor)
     state.resync()
     return state
 
 
-def sn_sweep(V, state, epsilon, inner_repeats: int = 3, constants=None,
-             h_first: bool = True, objective: KLObjective | None = None):
+def sn_sweep(V, state, epsilon, inner_repeats: int = 3, h_first: bool = True,
+             objective: KLObjective | None = None):
     """One safeguarded Newton pass over every entry of H and W, in place.
 
     Each scalar is updated ``inner_repeats`` times with freshly recomputed
     derivatives; the cached product (on the support of sparse data) is
     adjusted after every change and the full product recomputed at the end.
-    The curvature constants may be precomputed once per data matrix and
-    passed in, and ``objective``, the :class:`KLObjective` of V, gives the
-    support and the scratch; both are built here when absent. The objective
-    never increases.
+    ``objective``, the :class:`KLObjective` of V, is built here when absent;
+    its :attr:`~KLObjective.newton` workspace gives each half its layout,
+    its curvature constants and its scratch. The objective never increases.
     """
-    return _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first,
+    return _newton_sweep(V, state, epsilon, inner_repeats, h_first,
                          damped=True, floor=None, objective=objective)
 
 
-def ccd_sweep(V, state, epsilon, inner_repeats: int = 3, constants=None,
-              h_first: bool = True, objective: KLObjective | None = None):
+def ccd_sweep(V, state, epsilon, inner_repeats: int = 3, h_first: bool = True,
+              objective: KLObjective | None = None):
     """One plain cyclic Newton pass: always the clamped full step.
 
     The cached product is floored at CCD_PRODUCT_FLOOR before each slice so
@@ -331,6 +314,6 @@ def ccd_sweep(V, state, epsilon, inner_repeats: int = 3, constants=None,
     objective may increase; callers track it rather than asserting
     monotonicity.
     """
-    return _newton_sweep(V, state, epsilon, inner_repeats, constants, h_first,
+    return _newton_sweep(V, state, epsilon, inner_repeats, h_first,
                          damped=False, floor=CCD_PRODUCT_FLOOR,
                          objective=objective)

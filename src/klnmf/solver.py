@@ -30,8 +30,9 @@ MONOTONE_KINDS = ("mu", "bmd", "sn", "snmu")
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
-#: Kinds built on Newton sweeps. Each sweep carries the product on the
-#: support of V and recomputes the full product at its end.
+#: Kinds built on Newton sweeps. Each sweep adjusts the product after every
+#: slice, at the nonzeros of sparse data and in place on dense data, and
+#: recomputes the full product at its end.
 NEWTON_KINDS = ("sn", "snmu", "ccd")
 
 #: Kinds whose safeguarded step rule clamps at the bound itself, so their
@@ -94,7 +95,7 @@ class SolverConfig:
 
 
 def snmu_step(V, state, epsilon, cycle=(10, 1), inner_repeats: int = 3,
-              constants=None, h_first: bool = True, deadline: float = math.inf,
+              h_first: bool = True, deadline: float = math.inf,
               objective: KLObjective | None = None):
     """Several safeguarded Newton sweeps followed by multiplicative steps.
 
@@ -107,7 +108,7 @@ def snmu_step(V, state, epsilon, cycle=(10, 1), inner_repeats: int = 3,
     """
     for _ in range(cycle[0]):
         sn_sweep(V, state, epsilon, inner_repeats=inner_repeats,
-                 constants=constants, h_first=h_first, objective=objective)
+                 h_first=h_first, objective=objective)
         if time.perf_counter() >= deadline:
             break
     for _ in range(cycle[1]):
@@ -123,13 +124,18 @@ def _make_stepper(config: SolverConfig, matrix: NonnegMatrix,
     runs, so that patching ``klnmf.solver.sn_sweep`` and the like reaches it.
     Every kind reads the data through the run's objective, whose support
     the matrix builds once: MU, BMD and the MU tail of snmu form their ratio
-    in its scratch, and the Newton kinds read the support's orders and its
-    curvature constants, which the support also builds once.
+    in its scratch, and each Newton half reads its layout, its curvature
+    constants and its scratch from the objective's workspace
+    (:attr:`KLObjective.newton`). For a Newton kind that workspace, and the
+    support's orders and curvature it reads, are built here, before the
+    first sweep: built inside it, every sparse solve ran slower, MU
+    included.
     """
     V = matrix.values
     newton = {"inner_repeats": config.inner_repeats, "objective": objective}
     if config.kind in NEWTON_KINDS:
-        newton["constants"] = self_concordant_constants(matrix)
+        self_concordant_constants(matrix)
+        objective.newton  # noqa: B018 - built now, read by every sweep
     steps = {
         "mu": lambda state: mu_step(V, state, epsilon, objective=objective),
         "bmd": lambda state: bmd_step(V, state, epsilon, objective=objective),

@@ -15,9 +15,9 @@ class SolverState:
     """Factors plus the caches every sweep maintains.
 
     Every step leaves the product cache exact: the multiplicative and
-    mirror halves recompute it, and a Newton sweep, which adjusts a copy on
-    the support of V incrementally, ends with :meth:`resync`. So no drift
-    outlives a sweep.
+    mirror halves recompute it, and a Newton sweep, which adjusts the
+    product incrementally (at the nonzeros of sparse data, ``WH`` itself on
+    dense data), ends with :meth:`resync`. So no drift outlives a sweep.
     """
 
     W: np.ndarray

@@ -20,8 +20,10 @@ def record(solve_s, faults, failed=0):
 def test_compare_reports_spread_wins_and_faults():
     parent = [0.40, 0.44, 0.42, 0.50]
     change = [0.30, 0.45, 0.31, 0.50]
-    pairs = [{"parent": record(p, [10, 12, 14]), "change": record(c, [3, 5], failed)}
-             for p, c, failed in zip(parent, change, (0, 0, 1, 0))]
+    control = [0.41, 0.43, 0.42, 0.49]
+    pairs = [{"parent": record(p, [10, 12, 14]), "change": record(c, [3, 5], failed),
+              "control": record(a, [11])}
+             for p, c, a, failed in zip(parent, change, control, (0, 0, 1, 0))]
     entry = bench_pairs.compare(pairs, {"sn.solve_s": "lower"})
     metric = entry["metrics"]["sn.solve_s"]
     assert metric["parent"] == {"median": pytest.approx(0.43), "q1": pytest.approx(0.415),
@@ -30,9 +32,12 @@ def test_compare_reports_spread_wins_and_faults():
     # One pair is a tie, which counts for neither side.
     assert metric["change_wins"] == "2/4"
     assert metric["change_over_parent_median"] == pytest.approx(0.38 / 0.43)
+    assert metric["control_wins"] == "2/4"
+    assert metric["control_over_parent_median"] == pytest.approx(0.425 / 0.43)
     assert entry["correct"]["change"] == [True, True, False, True]
     assert entry["failed_of_attempted"]["change"][2] == "1/5"
-    assert entry["minor_faults"] == {"sn.minor_faults": {"parent": 12.0, "change": 4.0}}
+    assert entry["minor_faults"] == {
+        "sn.minor_faults": {"parent": 12.0, "change": 4.0, "control": 11.0}}
 
 
 def test_traced_seeds_are_paired_and_summarized(tmp_path, monkeypatch):
@@ -47,23 +52,26 @@ def test_traced_seeds_are_paired_and_summarized(tmp_path, monkeypatch):
     def fake_run(checkout, workload, seed, seconds, trace):
         side = checkout.name
         calls.append((side, seed, trace))
-        rec = record(0.4 if side == "parent" else 0.3, [7])
+        rec = record({"parent": 0.4, "change": 0.3, "control": 0.41}[side], [7])
         rec["result"]["machine"] = {"cpu": "x", "loadavg_at_start": seed}
         if trace:
             rec["summary"]["metrics"]["scalar_newton.slice_ms"] = {
-                "value": seed + (0.5 if side == "change" else 0.0), "unit": "ms"}
+                "value": seed + {"parent": 0.0, "change": 0.5,
+                                 "control": -0.25}[side], "unit": "ms"}
         return rec
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main([
         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-        "--out", str(out), "--what", "test", "--workloads", "sparse-counts",
+        "--control", str(tmp_path / "control"), "--out", str(out), "--what", "test", "--workloads", "sparse-counts",
         "--first-seed", "1", "--pairs", "2", "--traced-seed", "5", "6", "7"]) == 0
-    # One traced run per side and seed, the parent first on even seeds.
+    # One traced run per side and seed, in the order of permutation seed % 6
+    # of (parent, change, control).
     assert [c for c in calls if c[2]] == [
-        ("change", 5, 1), ("parent", 5, 1), ("parent", 6, 1), ("change", 6, 1),
-        ("change", 7, 1), ("parent", 7, 1)]
+        ("control", 5, 1), ("change", 5, 1), ("parent", 5, 1),
+        ("parent", 6, 1), ("change", 6, 1), ("control", 6, 1),
+        ("parent", 7, 1), ("control", 7, 1), ("change", 7, 1)]
     bench = json.loads(out.read_text())
     assert bench["machine"] == {"cpu": "x"}
     traced = bench["traced"]
@@ -74,8 +82,15 @@ def test_traced_seeds_are_paired_and_summarized(tmp_path, monkeypatch):
     assert metric["parent"]["runs"] == [5.0, 6.0, 7.0]
     assert metric["change"]["median"] == 6.5
     assert metric["change_wins"] == "0/3"
-    assert entry["metrics"]["sn.solve_s"]["change_wins"] == "3/3"
-    assert entry["minor_faults"] == {"sn.minor_faults": {"parent": 7.0, "change": 7.0}}
+    assert metric["control"]["runs"] == [4.75, 5.75, 6.75]
+    assert metric["control_wins"] == "3/3"
+    assert metric["control_over_parent_median"] == pytest.approx(5.75 / 6.0)
+    solve = entry["metrics"]["sn.solve_s"]
+    assert solve["change_wins"] == "3/3" and solve["control_wins"] == "0/3"
+    assert solve["control_over_parent_median"] == pytest.approx(0.41 / 0.4)
+    assert entry["correct"]["control"] == [True] * 3
+    assert entry["minor_faults"] == {
+        "sn.minor_faults": {"parent": 7.0, "change": 7.0, "control": 7.0}}
     untraced = bench["workloads"]["sparse-counts"]
     assert untraced["pairs"] == 2
     assert "scalar_newton.slice_ms" not in untraced["metrics"]

@@ -8,10 +8,12 @@ import pytest
 
 import oracles
 from conftest import each_slice_path, random_triple
-from klnmf import (FULL_STEP_LAMBDA, KLObjective, NonDifferentiableError,
-                   NonnegMatrix, ProblemInstance, SolverConfig, SolverState,
-                   ccd_sweep, kl_divergence, scalar_newton,
-                   self_concordant_constants, sn_sweep, sn_update_scalar)
+from klnmf import (FULL_STEP_LAMBDA, Factorization, KLObjective,
+                   NonDifferentiableError, NonnegMatrix, ProblemInstance,
+                   SolverConfig, SolverState, bmd_step, ccd_sweep,
+                   kl_divergence, mu_step, scalar_newton,
+                   self_concordant_constants, sn_sweep, sn_update_scalar,
+                   snmu_step)
 from klnmf.benchmark import BenchPlan, execute
 from klnmf.objective import DENSE_SLICE_DENSITY, Support
 from klnmf.solver import run
@@ -366,6 +368,76 @@ class TestSupportOrders:
                 assert order.empty.size > 0
 
 
+def workspace_instance(rng, make):
+    """A fresh NonnegMatrix, its rank and a positive initial state: dense
+    120x90 rank 4 data, or sparse 400x300 rank 2 data with about 7%
+    nonzeros and no empty row or column."""
+    if make == "dense":
+        m, n, r = 120, 90, 4
+        V = rng.poisson(rng.uniform(0.0, 1.0, (m, r))
+                        @ rng.uniform(0.0, 4.0, (r, n))) + 1.0
+    else:
+        m, n, r = 400, 300, 2
+        V = (rng.poisson(2.0, (m, n)) + 1.0) * (rng.uniform(size=(m, n)) < 0.07)
+        V[np.arange(m), np.arange(m) % n] = 1.0
+    state = SolverState.from_factors(rng.uniform(0.2, 1.0, (m, r)),
+                                     rng.uniform(0.2, 1.0, (r, n)))
+    return NonnegMatrix(V), r, state
+
+
+class TestWorkspace:
+    STEPS = {"mu": mu_step, "bmd": bmd_step, "sn": sn_sweep,
+             "snmu": snmu_step, "ccd": ccd_sweep}
+
+    @pytest.mark.parametrize("make", ["dense", "sparse"])
+    @pytest.mark.parametrize("kind", sorted(STEPS))
+    def test_no_step_allocates_after_the_first(self, rng, kind, make):
+        # With the matrix's support built, as a run builds it, the first
+        # step builds the run's scratch: on dense data the ratio buffer of
+        # V's layout, and no copy of the data or the product. The later
+        # steps reuse it, and allocate nothing of size nnz or m·n.
+        import tracemalloc
+        matrix, r, state = workspace_instance(rng, make)
+        m, n = matrix.shape
+        nnz = matrix.support.index.size
+        assert matrix.support.dense_slices == (make == "dense")
+        assert nnz >= 8 * r * max(m, n)
+        self_concordant_constants(matrix)
+        objective = KLObjective(matrix)
+        peaks = []
+        for steps in (1, 5):
+            tracemalloc.start()
+            try:
+                for _ in range(steps):
+                    self.STEPS[kind](matrix.values, state, 1e-9,
+                                     objective=objective)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 1.5 * m * n * 8, peaks
+        assert peaks[1] < nnz * 8, peaks
+
+    @pytest.mark.parametrize("make", ["dense", "sparse"])
+    @pytest.mark.parametrize("kind", ["sn", "snmu", "ccd"])
+    def test_run_builds_the_workspace_before_the_first_sweep(
+            self, rng, monkeypatch, kind, make):
+        # Built inside the first sweep, the support's orders made every
+        # sparse solve slower, MU included.
+        import klnmf.solver as solver_mod
+        matrix, r, state = workspace_instance(rng, make)
+        built = []
+        for name in ("sn_sweep", "ccd_sweep"):
+            def spy(*args, _sweep=getattr(solver_mod, name), **kwargs):
+                objective = kwargs["objective"]
+                built.append(("newton" in vars(objective),
+                              {"orders", "curvature"} <= vars(objective.support).keys()))
+                return _sweep(*args, **kwargs)
+            monkeypatch.setattr(solver_mod, name, spy)
+        init = Factorization(NonnegMatrix(state.W), NonnegMatrix(state.H))
+        run(ProblemInstance(matrix, r), init, SolverConfig(kind, max_outer_iters=1))
+        assert built and built[0] == (True, True)
+
+
 def zero_product_off_the_support():
     """Positive data but for V[0, 0] = 0, with factors whose product is
     exactly 0 there, and positive everywhere else."""
@@ -424,29 +496,6 @@ class TestSlicePaths:
             state = SolverState.from_factors(W, H)
             with pytest.raises(NonDifferentiableError, match=r"\(0, 2\)"):
                 sn_sweep(V, state, 0.0, h_first=h_first)
-
-    @pytest.mark.parametrize("sweep", [sn_sweep, ccd_sweep])
-    def test_dense_sweep_keeps_no_copy_of_the_data(self, rng, sweep):
-        # Both halves read V and the product, or their transposed views, and
-        # the ratio goes into the objective's one buffer of V's layout.
-        import tracemalloc
-        m, n, r = 120, 90, 4
-        V = NonnegMatrix(rng.poisson(rng.uniform(0.0, 1.0, (m, r))
-                                     @ rng.uniform(0.0, 4.0, (r, n))) + 1.0)
-        assert V.support.dense_slices
-        constants = self_concordant_constants(V)
-        objective = KLObjective(V)
-        state = SolverState.from_factors(rng.uniform(0.2, 1.0, (m, r)),
-                                         rng.uniform(0.2, 1.0, (r, n)))
-        peaks = []
-        for _ in range(2):
-            tracemalloc.start()
-            try:
-                sweep(V, state, 1e-9, constants=constants, objective=objective)
-                peaks.append(tracemalloc.get_traced_memory()[1] / (m * n * 8))
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] < 1.5 and peaks[1] < 0.25, peaks
 
     def test_paths_agree_on_the_plan_and_on_dense_poisson(self, monkeypatch):
         # The capped sn and snmu runs of the reference plan's dense

@@ -3,30 +3,37 @@
     mkdir ../cmp
     git archive --prefix=parent/ <parent-commit> | tar x -C ../cmp
     git archive --prefix=change/ <change-commit> | tar x -C ../cmp
+    git archive --prefix=control/ <parent-commit> | tar x -C ../cmp
     python3 tools/bench_pairs.py --parent ../cmp/parent --change ../cmp/change \\
-        --first-seed 61 --pairs 10 --traced-seed 71 72 73 --what "..." \\
-        --out BENCH_<n>.json
+        --control ../cmp/control --first-seed 61 --pairs 10 \\
+        --traced-seed 71 72 73 --what "..." --out BENCH_<n>.json
 
 For every workload and seed it runs ``python3 klbench/run.py --workload <w>
 --seed <s> --seconds <t> --trace 0`` once in each checkout, one process at a
-time, the parent first on even seeds and the change first on odd ones. Each
-side reads its own ``klbench/`` and ``src/``, so both measure with the
-benchmark code of their own commit; compare commits whose ``klbench/`` is
-the same. With ``--traced-seed`` each side then makes one traced run per
-workload and traced seed, paired and summarized the same way, for the
-per-layer figures.
+time. The control is a second extraction of the parent, an A/A side: what
+it reads against the parent is what identical code reads, the noise floor
+for the change's figures. The three sides run in the order of the
+permutation ``seed % 6`` of (parent, change, control), so over six seeds
+each side runs before each other side three times. Each side reads its own
+``klbench/`` and ``src/``, so each measures with the benchmark code of its
+own commit; compare commits whose ``klbench/`` is the same. With
+``--traced-seed`` each side then makes one traced run per workload and
+traced seed, grouped and summarized the same way, for the per-layer
+figures.
 
 The output has the shape of the earlier ``BENCH_<n>.json`` files: per
 workload and end-to-end metric, each side's median, quartiles
 (``numpy.percentile``, linear) and runs, how many pairs the change won
-(ties count for neither) and the ratio of the medians; the correctness and
-failure counts of every run; the minor page faults per solve; and the
-machine. With ``--work`` every run's record is kept in that directory and a
-rerun skips the runs already recorded there.
+(ties count for neither) and the ratio of the medians, and the same two
+figures for the control against the parent; the correctness and failure
+counts of every run; the minor page faults per solve; and the machine.
+With ``--work`` every run's record is kept in that directory and a rerun
+skips the runs already recorded there.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import statistics
 import subprocess
@@ -36,7 +43,9 @@ from pathlib import Path
 import numpy as np
 
 WORKLOADS = ("dense-poisson", "sparse-counts", "small-plan")
-SIDES = ("parent", "change")
+SIDES = ("parent", "change", "control")
+#: The run order of the sides, by seed modulo 6.
+ORDERS = tuple(itertools.permutations(SIDES))
 KINDS = ("mu", "bmd", "sn", "snmu", "ccd")
 COMMAND = "python3 klbench/run.py --workload {workload} --seed {seed} " \
           "--seconds {seconds:g} --trace {trace}"
@@ -48,6 +57,8 @@ def _parse(argv):
                         help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True,
                         help="checkout of the change")
+    parser.add_argument("--control", type=Path, required=True,
+                        help="a second checkout of the parent commit")
     parser.add_argument("--out", type=Path, required=True,
                         help="the BENCH_<n>.json file to write")
     parser.add_argument("--what", required=True,
@@ -125,7 +136,7 @@ def minor_faults(result: dict) -> dict:
 
 
 def compare(pairs: list[dict], better: dict[str, str]) -> dict:
-    """One workload's entry from its pairs, each {"parent": run, "change": run}."""
+    """One workload's entry from its pairs, each {side: run} for every side."""
     entry = {
         "pairs": len(pairs),
         "correct": {side: [p[side]["summary"]["correct"] for p in pairs]
@@ -141,15 +152,16 @@ def compare(pairs: list[dict], better: dict[str, str]) -> dict:
         values = {side: [p[side]["summary"]["metrics"][name]["value"] for p in pairs]
                   for side in SIDES}
         sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
-        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         medians = {side: spread(values[side]) for side in SIDES}
-        entry["metrics"][name] = {
-            **medians,
-            "unit": pairs[0]["parent"]["summary"]["metrics"][name]["unit"],
-            "change_wins": f"{wins}/{len(pairs)}",
-            "change_over_parent_median":
-                medians["change"]["median"] / medians["parent"]["median"],
-        }
+        metric = {**medians,
+                  "unit": pairs[0]["parent"]["summary"]["metrics"][name]["unit"]}
+        for side in SIDES[1:]:
+            wins = sum(sign * (c - p) < 0
+                       for p, c in zip(values["parent"], values[side]))
+            metric[f"{side}_wins"] = f"{wins}/{len(pairs)}"
+            metric[f"{side}_over_parent_median"] = \
+                medians[side]["median"] / medians["parent"]["median"]
+        entry["metrics"][name] = metric
     faults = {side: [minor_faults(p[side]["result"]) for p in pairs] for side in SIDES}
     entry["minor_faults"] = {
         name: {side: float(statistics.median(run[name] for run in faults[side]))
@@ -176,7 +188,7 @@ def main(argv=None) -> int:
     def paired(workload, seeds, trace):
         pairs = []
         for seed in seeds:
-            order = SIDES if seed % 2 == 0 else SIDES[::-1]
+            order = ORDERS[seed % len(ORDERS)]
             pairs.append({side: recorded_run(args.work, side, checkouts[side],
                                              workload, seed, args.seconds, trace)
                           for side in order})
@@ -191,12 +203,16 @@ def main(argv=None) -> int:
         "what": args.what,
         "command": COMMAND.format(workload="<w>", seed="<s>", seconds=args.seconds,
                                   trace=0),
-        "pairs": "one parent run and one change run per seed, alternating which "
-                 "side runs first (even seeds parent first); one process at a time",
+        "pairs": "one parent, one change and one control run per seed, in the "
+                 "order of permutation seed % 6 of (parent, change, control); "
+                 "one process at a time",
+        "control": "a second extraction of the parent commit; its figures "
+                   "against the parent are what identical code reads",
         "seeds": seeds,
         "statistic": "median and quartiles (numpy.percentile, linear) over the "
-                     "runs of each side; wins counts pairs where the change reads "
-                     "better, ties for neither; minor_faults are per-solve medians "
+                     "runs of each side; wins counts pairs where the change (the "
+                     "control) reads better than the parent, ties for neither; "
+                     "minor_faults are per-solve medians "
                      "of each run's solves, then the median over runs",
         "machine": host,
         "workloads": workloads,
@@ -220,7 +236,9 @@ def main(argv=None) -> int:
         for name, metric in entry["metrics"].items():
             print(f"{workload:14s} {name:14s} parent {metric['parent']['median']:.4g} "
                   f"change {metric['change']['median']:.4g} "
-                  f"wins {metric['change_wins']}")
+                  f"wins {metric['change_wins']} "
+                  f"control {metric['control']['median']:.4g} "
+                  f"wins {metric['control_wins']}")
     return 0
 
 
