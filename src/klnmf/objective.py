@@ -20,31 +20,29 @@ from .matrices import NonnegMatrix, as_matrix_array
 #: degenerate; both scale linearly with V, so the test is scale-free.
 NORMALIZER_FLOOR = 1e-12
 
-#: Data with at least this share of nonzeros is dense for :func:`support_ratio`:
-#: its ratio V/WH is one divide over the whole matrix, which writes exact
-#: zeros off the support. Sparser data is divided on its support only, by a
-#: gather and a scatter. With one BLAS thread on a 2-vCPU x86-64 VM the two
-#: ways cost the same between densities 0.2 and 0.3 for sizes from 200x200
-#: to 1000x1000; above 0.3 the whole-matrix divide is faster at every size
-#: (at 0.9 by 3.6x on 200x200), and at 0.05 the gather is (by 3x).
-DENSE_RATIO_DENSITY = 0.3
-
-#: Data with at least this share of nonzeros is dense for the Newton slices
-#: of :mod:`klnmf.scalar_newton`: each slice divides over the whole matrix
-#: and reduces with BLAS matrix-vector products. Sparser data keeps the
-#: slices on its support. With one BLAS thread on a 2-vCPU x86-64 VM, an sn
-#: sweep costs the same both ways between densities 0.55 and 0.65, on
-#: 200x200 rank 10 and on 600x400 rank 5: the whole-matrix sweep takes
-#: 1.09-1.14 times as long at 0.55, 0.68-0.83 times at 0.65 and 0.57-0.70
-#: times at 0.85. On 20x20 to 40x30 rank 4 the two ways cost about the same
-#: at every density.
+#: Data with at least this share of nonzeros is dense: :func:`support_ratio`
+#: divides over the whole matrix, which writes exact zeros off the support,
+#: :meth:`KLObjective.of_product` takes the logarithm of the whole product,
+#: and the Newton slices of :mod:`klnmf.scalar_newton` divide over the whole
+#: matrix and reduce with BLAS matrix-vector products. Sparser data does
+#: each on its support only. With one BLAS thread on a 2-vCPU x86-64 VM, as
+#: a ratio of the whole-matrix time to the support time:
 #:
-#: The same density makes :meth:`KLObjective.of_product` take the logarithm
-#: of the whole product. On the same VM, on 100x80 to 600x400, that log pass
-#: takes 0.67-0.96 times as long as the gathered one at density 0.9,
-#: 0.98-1.24 times at 0.6 and 1.1-2.3 times between 0.3 and 0.5, so the
-#: lower ``DENSE_RATIO_DENSITY`` would make it slower.
-DENSE_SLICE_DENSITY = 0.6
+#: - an sn sweep, on 200x200 rank 10 and 600x400 rank 5: 1.09-1.14 at
+#:   density 0.55, 0.68-0.83 at 0.65 and 0.57-0.70 at 0.85; on 20x20 to
+#:   40x30 rank 4, about 1 at every density. The two ways round differently.
+#: - the log pass, on 100x80 to 600x400: 1.1-2.3 between 0.3 and 0.5,
+#:   0.98-1.24 at 0.6 and 0.67-0.96 at 0.9.
+#: - the ratio: below 1 from about 0.3 up. Both ways give the same bits.
+#:
+#: On the benchmark's matrices the shared threshold costs the log pass
+#: nothing. Min of 7x5000 calls of :meth:`KLObjective.of_product` at the
+#: initial products, whole-matrix against gathered: the plan's m003 (30x20,
+#: 0.607) 5.7 against 6.6 us and m004 (0.603) 5.8 against 6.6 us, above the
+#: threshold; m005 (0.578) 5.8 against 6.7 us, below it; klbench's
+#: dense-poisson (0.896) 56 against 78 us. The plan's matrices at 1.0 lie
+#: above it, and those at 0.08 and sparse-counts (0.0435) below.
+DENSE_DENSITY = 0.6
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -129,18 +127,16 @@ def support_ratio(V: np.ndarray, WH: np.ndarray,
     Raises NonDifferentiableError, naming the (i, j) entry, if WH vanishes
     where V is positive. ``objective`` is the :class:`KLObjective` of V,
     built here when absent, and the result is one of its buffers, which
-    the next call on the same object may overwrite. On dense data (see
-    ``DENSE_RATIO_DENSITY``) whose product is positive everywhere the ratio
-    is one divide over the whole matrix into its ``work``, where 0 / WH is
-    exactly +0.0; otherwise only the support of its ``ratio`` is read and
-    written. Both ways divide each nonzero of V by the same product entry,
-    so they give the same bits.
+    the next call on the same object may overwrite. Where
+    :meth:`Support.whole_matrix` allows, the ratio is one divide over the
+    whole matrix into its ``work``, where 0 / WH is exactly +0.0; otherwise
+    only the support of its ``ratio`` is read and written. Both ways divide
+    each nonzero of V by the same product entry, so they give the same bits.
     """
     if objective is None:
         objective = KLObjective(V)
     support = objective.support
-    # min() is NaN, and so not positive, if the product has a NaN.
-    if support.dense and WH.shape == support.shape and WH.min() > 0:
+    if support.whole_matrix(WH):
         return np.divide(support.V, WH, out=objective.work)
     wh = objective.gather(WH)
     if wh.size and wh.min() <= 0:
@@ -290,12 +286,13 @@ class Support:
     ``V`` is the data itself, not a copy; ``index`` is the flat row-major
     index of its nonzeros and ``values`` their values. ``sums`` holds the
     column and the row sums of V, indexed by ``SolverState.transposed``.
-    ``dense`` says whether :func:`support_ratio` may divide over the whole
-    matrix, and ``dense_slices`` whether the Newton slices and the log pass
-    of the objective do. Built on first use: the logarithm constants of the
-    objective; for the Newton sweeps ``orders``, which give the slices on
-    sparse data their layout and the index in V of each nonzero they read,
-    and ``curvature``, the read-only curvature constants of every sweep.
+    ``dense`` says whether the data is dense (see ``DENSE_DENSITY``): then
+    the ratio, the log pass of the objective and the Newton slices run over
+    the whole matrix, the first two where :meth:`whole_matrix` allows. Built
+    on first use: the logarithm constants of the objective; for the Newton
+    sweeps ``orders``, which give the slices on sparse data their layout and
+    the index in V of each nonzero they read, and ``curvature``, the
+    read-only curvature constants of every sweep.
     The slices on dense data read V itself, and V.T as a view.
 
     Nothing here is written once built and nothing is scratch, so a
@@ -311,7 +308,7 @@ class Support:
         self.values = np.take(V, self.index)
         self.sums = (V.sum(axis=0), V.T.sum(axis=0))
         self.dense = (self.index.size > 0
-                      and self.index.size >= DENSE_RATIO_DENSITY * V.size)
+                      and self.index.size >= DENSE_DENSITY * V.size)
         # The index stays writeable: np.take copies a read-only index on
         # every call, and that copy costs more than the gather itself.
         for array in (self.values, *self.sums):
@@ -336,13 +333,12 @@ class Support:
     def degenerate_normalizer(self) -> bool:
         return abs(self.normalizer) <= NORMALIZER_FLOOR * float(self.values.sum())
 
-    @property
-    def dense_slices(self) -> bool:
-        """Whether the Newton slices and the log pass of
-        :meth:`KLObjective.of_product` run over the whole matrix (see
-        ``DENSE_SLICE_DENSITY``)."""
-        return (self.index.size > 0
-                and self.index.size >= DENSE_SLICE_DENSITY * self.V.size)
+    def whole_matrix(self, WH: np.ndarray) -> bool:
+        """Whether a pass over the product ``WH`` may run over the whole
+        matrix: on dense data, with a product of V's shape that is positive
+        everywhere (its min() is NaN, and so not positive, if it has a
+        NaN)."""
+        return self.dense and WH.shape == self.shape and WH.min() > 0
 
     @cached_property
     def orders(self) -> tuple[_Order, _Order]:
@@ -390,7 +386,7 @@ class KLObjective:
     :meth:`of_factors`, which forms the same product and sums from the
     factors. ``support`` is the :class:`Support` of the data, shared by
     every object made for the same :class:`NonnegMatrix`; its ``dense``
-    alone picks the ratio path, and its ``dense_slices`` the log pass.
+    alone picks the path of the ratio, the log pass and the Newton slices.
 
     The object itself is scratch, allocated on first use: ``_wh``, an
     nnz-length vector that a product is gathered into; ``ratio``, the m×n
@@ -426,11 +422,11 @@ class KLObjective:
         """What each half of a Newton sweep reads and writes besides the
         factors and the product, indexed by ``SolverState.transposed``.
 
-        On data dense for the slices (``Support.dense_slices``) a half has
-        (V, R, c, w, ww, scratch): V and the ratio buffer ``work``, both
-        transposed on the W half; the curvature constants c of the entries of
-        a row of the half's H; the column w of W of a slice and its square
-        ww; and f1, f2, s, lam and step, one entry per entry of that row.
+        On dense data (``Support.dense``) a half has (V, R, c, w, ww,
+        scratch): V and the ratio buffer ``work``, both transposed on the W
+        half; the curvature constants c of the entries of a row of the
+        half's H; the column w of W of a slice and its square ww; and f1,
+        f2, s, lam and step, one entry per entry of that row.
         Otherwise it has (order, c, scratch, vectors): the half's order of
         the nonzeros (``Support.orders``); the constants of the entries of a
         row of H with data; f1, f2, s, lam, step and the row's entries
@@ -440,7 +436,7 @@ class KLObjective:
         """
         support = self.support
         c_rows, c_cols = support.curvature
-        if support.dense_slices:
+        if support.dense:
             # R keeps V's layout, not the half's: then the W half of (V, W, H)
             # and the H half of (V.T, H.T, W.T) run their matrix-vector
             # products over R in one memory order, bitwise.
@@ -470,18 +466,17 @@ class KLObjective:
         ``sums`` are the column sums of W and the row sums of H, as
         :class:`~klnmf.state.SolverState` keeps them; the linear term
         sum(WH) is then their dot product, O(r) work, and ``WH.sum()``
-        without them. The log term is one BLAS dot: on data dense for the
-        slices (``Support.dense_slices``) whose product is positive
-        everywhere, of V with the logarithm of the whole product, taken
-        into ``work``, where each zero of V adds an exact zero; otherwise
-        of the nonzeros of V with the logarithm of the product gathered
-        there, and a zero among those makes the objective infinite. The two
-        ways agree to rounding. Once the scratch exists, a call on
-        C-contiguous data, as every :class:`NonnegMatrix` holds, allocates
-        nothing of size nnz or m·n.
+        without them. The log term is one BLAS dot: where
+        :meth:`Support.whole_matrix` allows, of V with the logarithm of the
+        whole product, taken into ``work``, where each zero of V adds an
+        exact zero; otherwise of the nonzeros of V with the logarithm of the
+        product gathered there, and a zero among those makes the objective
+        infinite. The two ways agree to rounding. Once the scratch exists, a
+        call on C-contiguous data, as every :class:`NonnegMatrix` holds,
+        allocates nothing of size nnz or m·n.
         """
         support = self.support
-        if support.dense_slices and WH.shape == support.shape and WH.min() > 0:
+        if support.whole_matrix(WH):
             logs = np.log(WH, out=self.work)
             log_term = float(support.V.reshape(-1) @ logs.reshape(-1))
         else:

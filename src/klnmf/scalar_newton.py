@@ -14,8 +14,9 @@ is exactly the sequential per-scalar loop in slice order; no other
 parallelism is applied. A slice of W is a slice of H run on the transposed
 problem.
 
-A slice takes one of two paths, picked per sweep from the density of V
-(``DENSE_SLICE_DENSITY`` in :mod:`klnmf.objective`); both share the target,
+A slice takes one of two paths, picked per sweep by ``Support.dense``, the
+density rule that also picks the path of the ratio and of the log pass
+(``DENSE_DENSITY`` in :mod:`klnmf.objective`); both share the target,
 damping and flat-entry rule (:func:`_newton_targets`), and each sweep ends
 by writing the full product once (:meth:`SolverState.resync`), so the next
 step starts from an exact one.
@@ -149,12 +150,13 @@ def _newton_targets(xs, f1, f2, c, epsilon, damped, s, lam, step):
             np.subtract(s, xs, out=step)
 
 
-def _positive_product(values, wh, floor, entry):
+def _positive_product(values, wh, damped, entry):
     """Guard ``wh``, the product at the entries whose data is ``values``,
-    in place; a zero where the data is positive raises at
-    ``entry(position)``, the caller's (i, j)."""
-    if floor is not None:
-        np.maximum(wh, floor, out=wh)
+    in place: the plain cyclic variant (not ``damped``) floors it at
+    ``CCD_PRODUCT_FLOOR``; otherwise a zero where the data is positive
+    raises at ``entry(position)``, the caller's (i, j)."""
+    if not damped:
+        np.maximum(wh, CCD_PRODUCT_FLOOR, out=wh)
     elif wh.size and not wh.min() > 0:
         zero = wh <= 0
         on_support = zero & (values > 0)
@@ -163,8 +165,8 @@ def _positive_product(values, wh, floor, entry):
         wh[zero] = np.inf
 
 
-def _support_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
-                   work, scratch):
+def _support_slice(order, x, colsum, c, epsilon, damped, w, wh, ratio, work,
+                   scratch):
     """Newton update of ``x``, row k of a half's H (a view written in
     place), with the support product ``wh`` adjusted in place.
 
@@ -173,9 +175,9 @@ def _support_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
     and ``work`` are nnz-length scratch. ``scratch`` holds the half's
     buffers, one entry per entry of x with data, and ``c`` the curvature
     constants of those entries (see :func:`_support_halves`). The caller
-    keeps ``wh`` positive (see :func:`_positive_product`); with ``floor``
-    set, V/WH^2 is capped here so a floored product cannot overflow to inf
-    (which would poison the sums with 0 * inf).
+    keeps ``wh`` positive (see :func:`_positive_product`); where it floors
+    the product (not ``damped``), V/WH^2 is capped here so a floored product
+    cannot overflow to inf (which would poison the sums with 0 * inf).
 
     An entry without data has f1 = colsum and f2 = 0: it moves to epsilon
     when colsum > 0 and stays put otherwise, and leaves the product alone.
@@ -186,7 +188,7 @@ def _support_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
     np.multiply(ratio, w, out=work)
     np.add.reduceat(work, order.starts, out=f1)
     np.subtract(colsum, f1, out=f1)
-    if floor is None:
+    if damped:
         np.divide(work, wh, out=ratio)
     else:
         with np.errstate(over="ignore"):
@@ -205,7 +207,7 @@ def _support_slice(order, x, colsum, c, epsilon, damped, floor, w, wh, ratio,
 
 
 def _support_halves(objective, state, epsilon, inner_repeats, h_first,
-                    damped, floor):
+                    damped):
     n = objective.support.shape[1]
     # A view of WH, or, when WH is not C-contiguous, a copy that carries the
     # product between the halves; resync() rewrites WH after the sweep.
@@ -221,15 +223,14 @@ def _support_halves(objective, state, epsilon, inner_repeats, h_first,
             np.take(half.W[:, k], order.rows, out=w, mode="clip")
             x, colsum = half.H[k], half.col_sums_W[k]
             for _ in range(inner_repeats):
-                _positive_product(order.values, wh, floor, entry)
-                _support_slice(order, x, colsum, c, epsilon, damped, floor, w,
-                               wh, ratio, work, scratch)
+                _positive_product(order.values, wh, damped, entry)
+                _support_slice(order, x, colsum, c, epsilon, damped, w, wh,
+                               ratio, work, scratch)
         product[order.flat] = wh
         half.H.sum(axis=1, out=half.row_sums_H)
 
 
-def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor, w, ww,
-                 scratch):
+def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, w, ww, scratch):
     """Newton update of ``x``, row k of a half's H (a view written in
     place), with the whole product ``WH`` adjusted in place.
 
@@ -245,7 +246,7 @@ def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor, w, ww,
     np.divide(V, WH, out=R)
     np.matmul(w, R, out=f1)
     np.subtract(colsum, f1, out=f1)
-    if floor is None:
+    if damped:
         np.divide(R, WH, out=R)
     else:
         with np.errstate(over="ignore"):
@@ -262,8 +263,7 @@ def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, floor, w, ww,
     WH += R
 
 
-def _dense_halves(objective, state, epsilon, inner_repeats, h_first, damped,
-                  floor):
+def _dense_halves(objective, state, epsilon, inner_repeats, h_first, damped):
     for half in state.halves(h_first):
         V, R, c, w, ww, scratch = objective.newton[half.transposed]
         # A position in the W half's V.T is one in V in F order.
@@ -274,18 +274,18 @@ def _dense_halves(objective, state, epsilon, inner_repeats, h_first, damped,
             np.multiply(w, w, out=ww)
             x, colsum = half.H[k], half.col_sums_W[k]
             for _ in range(inner_repeats):
-                _positive_product(V, half.WH, floor, entry)
-                _dense_slice(V, half.WH, R, x, colsum, c, epsilon, damped,
-                             floor, w, ww, scratch)
+                _positive_product(V, half.WH, damped, entry)
+                _dense_slice(V, half.WH, R, x, colsum, c, epsilon, damped, w,
+                             ww, scratch)
         half.H.sum(axis=1, out=half.row_sums_H)
 
 
-def _newton_sweep(V, state, epsilon, inner_repeats, h_first, damped, floor,
+def _newton_sweep(V, state, epsilon, inner_repeats, h_first, damped,
                   objective):
     if objective is None:
         objective = KLObjective(V)
-    halves = _dense_halves if objective.support.dense_slices else _support_halves
-    halves(objective, state, epsilon, inner_repeats, h_first, damped, floor)
+    halves = _dense_halves if objective.support.dense else _support_halves
+    halves(objective, state, epsilon, inner_repeats, h_first, damped)
     state.resync()
     return state
 
@@ -302,7 +302,7 @@ def sn_sweep(V, state, epsilon, inner_repeats: int = 3, h_first: bool = True,
     its curvature constants and its scratch. The objective never increases.
     """
     return _newton_sweep(V, state, epsilon, inner_repeats, h_first,
-                         damped=True, floor=None, objective=objective)
+                         damped=True, objective=objective)
 
 
 def ccd_sweep(V, state, epsilon, inner_repeats: int = 3, h_first: bool = True,
@@ -315,5 +315,4 @@ def ccd_sweep(V, state, epsilon, inner_repeats: int = 3, h_first: bool = True,
     monotonicity.
     """
     return _newton_sweep(V, state, epsilon, inner_repeats, h_first,
-                         damped=False, floor=CCD_PRODUCT_FLOOR,
-                         objective=objective)
+                         damped=False, objective=objective)

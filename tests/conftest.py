@@ -5,8 +5,8 @@ import pytest
 
 from klnmf import objective
 
-#: Values of DENSE_SLICE_DENSITY that send every Newton sweep down one slice
-#: path, and every objective evaluation down the matching log pass: the
+#: Values of DENSE_DENSITY that send every Newton sweep down one slice path,
+#: and every ratio and objective evaluation down the matching path: the
 #: support path never counts data as dense, the dense path always.
 SLICE_PATHS = {"support": math.inf, "dense": 0.0}
 
@@ -28,7 +28,8 @@ def random_triple(rng, m=None, n=None, r=None, positive=True):
 
 
 def each_slice_path(monkeypatch):
-    """Force each Newton slice path in turn, yielding its name."""
+    """Force each Newton slice path in turn, yielding its name. A support
+    takes the rule when it is built, so build the data's inside the loop."""
     for name, density in SLICE_PATHS.items():
-        monkeypatch.setattr(objective, "DENSE_SLICE_DENSITY", density)
+        monkeypatch.setattr(objective, "DENSE_DENSITY", density)
         yield name

@@ -40,6 +40,29 @@ def test_compare_reports_spread_wins_and_faults():
         "sn.minor_faults": {"parent": 12.0, "change": 4.0, "control": 11.0}}
 
 
+def test_claim_rule_calls_faster_slower_and_within_noise():
+    parent = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.1, 0.9, 1.0]
+    steady = [p * 1.01 for p in parent]
+
+    def call(change, control):
+        pairs = [{"parent": record(p, [1]), "change": record(c, [1]),
+                  "control": record(a, [1])}
+                 for p, c, a in zip(parent, change, control)]
+        return bench_pairs.compare(pairs, {"sn.solve_s": "lower"})[
+            "metrics"]["sn.solve_s"]["verdict"]
+
+    faster = [p * 0.8 for p in parent]
+    faster[3] = 1.0  # a tie, which counts for neither side: 9 wins of 10
+    assert call(faster, steady) == "faster"
+    assert call([p * 1.2 for p in parent], steady) == "slower"
+    # 9 wins, but the control reads further from the parent than the change.
+    assert call(faster, [p * 0.7 for p in parent]) == "within noise"
+    # The medians are far apart, but the change wins only 8 of 10 pairs.
+    mixed = [p * 0.8 for p in parent]
+    mixed[0], mixed[1] = 1.2, 1.3
+    assert call(mixed, steady) == "within noise"
+
+
 def test_traced_seeds_are_paired_and_summarized(tmp_path, monkeypatch):
     for side in bench_pairs.SIDES:
         (tmp_path / side / "klbench").mkdir(parents=True)

@@ -41,7 +41,9 @@ class TestMuStep:
     def test_step_on_dense_data_is_bitwise_the_two_half_updates(self, rng,
                                                                 density):
         V, W, H = random_triple(rng, m=6, n=5, r=3)
-        V = (V + 0.5) * (rng.random(V.shape) < density)
+        V = V + 0.5
+        # Exactly that share of the entries stays nonzero.
+        V.flat[rng.permutation(V.size)[round(density * V.size):]] = 0.0
         assert KLObjective(V).support.dense
         state = make_state(W, H)
         mu_step(V, state, epsilon=1e-9)

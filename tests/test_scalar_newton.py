@@ -15,7 +15,7 @@ from klnmf import (FULL_STEP_LAMBDA, Factorization, KLObjective,
                    self_concordant_constants, sn_sweep, sn_update_scalar,
                    snmu_step)
 from klnmf.benchmark import BenchPlan, execute
-from klnmf.objective import DENSE_SLICE_DENSITY, Support
+from klnmf.objective import DENSE_DENSITY, Support, support_ratio
 from klnmf.solver import run
 from klnmf.synthetic import SyntheticSpec, generate, init_random_scaled
 
@@ -400,7 +400,7 @@ class TestWorkspace:
         matrix, r, state = workspace_instance(rng, make)
         m, n = matrix.shape
         nnz = matrix.support.index.size
-        assert matrix.support.dense_slices == (make == "dense")
+        assert matrix.support.dense == (make == "dense")
         assert nnz >= 8 * r * max(m, n)
         self_concordant_constants(matrix)
         objective = KLObjective(matrix)
@@ -450,6 +450,8 @@ def zero_product_off_the_support():
 
 class TestSlicePaths:
     def test_density_picks_the_slice_path(self, rng, monkeypatch):
+        # One density rule picks the slice path, the ratio path and the log
+        # pass: all three flip together at the threshold.
         taken = []
         for name in ("_dense_halves", "_support_halves"):
             def spy(*args, _name=name, _halves=getattr(scalar_newton, name)):
@@ -457,12 +459,22 @@ class TestSlicePaths:
                 return _halves(*args)
             monkeypatch.setattr(scalar_newton, name, spy)
         V, W, H = random_triple(rng, m=10, n=10, r=2)
-        least = math.ceil(DENSE_SLICE_DENSITY * V.size)
+        WH = W @ H
+        least = math.ceil(DENSE_DENSITY * V.size)
         for nonzeros, want in ((least, "_dense_halves"),
                                (least - 1, "_support_halves")):
             data = V.copy()
             data.flat[rng.permutation(V.size)[nonzeros:]] = 0.0
-            assert Support(data).dense_slices == (want == "_dense_halves")
+            dense = want == "_dense_halves"
+            assert Support(data).dense == dense
+            objective = KLObjective(data)
+            objective.of_product(WH)
+            # Only the whole-matrix log pass writes work, and only the
+            # gathered one the nnz-length buffer.
+            assert ("work" in vars(objective), "_wh" in vars(objective)) == (
+                dense, not dense)
+            assert support_ratio(data, WH, objective) is (
+                objective.work if dense else objective.ratio)
             taken.clear()
             sn_sweep(data, SolverState.from_factors(W, H), 0.0)
             assert taken == [want]
@@ -510,12 +522,15 @@ class TestSlicePaths:
             reference = json.load(fh)
         spec = reference["workloads"]["dense-poisson"]
         target = spec["ref"] + reference["delta"]
-        V = generate(SyntheticSpec(**spec["data"]))
-        instance = ProblemInstance(V, spec["rank"])
-        init = init_random_scaled(*V.shape, spec["rank"], V.values,
-                                  spec["init_seed"])
         finals, sweeps = {}, {}
         for path in each_slice_path(monkeypatch):
+            # A matrix's support takes the density rule when it is built,
+            # so each path builds its own matrix, as execute() does.
+            V = generate(SyntheticSpec(**spec["data"]))
+            instance = ProblemInstance(V, spec["rank"])
+            init = init_random_scaled(*V.shape, spec["rank"], V.values,
+                                      spec["init_seed"])
+            assert V.support.dense == (path == "dense")
             results = execute(plan).results
             assert not [result.failure for result in results if result.failure]
             finals[path] = {result.run_id: result.final_error

@@ -85,7 +85,7 @@ class TestRun:
         m, n, r = 30, 24, 3
         V = rng.poisson(3.0, (m, n)) * (rng.random((m, n)) < density) + 0.0
         instance = ProblemInstance(V=NonnegMatrix(V), rank=r)
-        assert instance.V.support.dense_slices == (density == 1.0)
+        assert instance.V.support.dense == (density == 1.0)
         init = init_random_scaled(m, n, r, V, 5)
         pair, trace = run(instance, init,
                           SolverConfig(kind=kind, max_outer_iters=12))

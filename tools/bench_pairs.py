@@ -25,8 +25,17 @@ The output has the shape of the earlier ``BENCH_<n>.json`` files: per
 workload and end-to-end metric, each side's median, quartiles
 (``numpy.percentile``, linear) and runs, how many pairs the change won
 (ties count for neither) and the ratio of the medians, and the same two
-figures for the control against the parent; the correctness and failure
-counts of every run; the minor page faults per solve; and the machine.
+figures for the control against the parent, and a ``verdict``; the
+correctness and failure counts of every run; the minor page faults per
+solve; and the machine.
+
+The verdict is the claim rule. A metric is ``faster`` (better, in the
+direction ``BENCHMARK.json`` gives it) when the change wins at least 9 of
+10 pairs, ties counting for neither side, and its median over the parent's
+lies further from 1 than the control's does; it is ``slower`` when the
+parent wins that share and the same holds of the medians; otherwise it is
+``within noise``. So a change is called only when it beats, in almost every
+pair, what identical code reads against itself.
 With ``--work`` every run's record is kept in that directory and a rerun
 skips the runs already recorded there.
 """
@@ -135,6 +144,21 @@ def minor_faults(result: dict) -> dict:
             if (name := f"{kind}.minor_faults") in samples and samples[name]}
 
 
+def verdict(wins: int, losses: int, pairs: int, change: float,
+            control: float, sign: float) -> str:
+    """The claim rule of the module docstring. ``wins`` and ``losses`` are
+    the pairs the change reads better and worse than the parent in,
+    ``change`` and ``control`` the ratios of their medians to the parent's,
+    and ``sign`` is 1 where lower is better, -1 where higher is."""
+    if abs(change - 1) <= abs(control - 1):
+        return "within noise"
+    if 10 * wins >= 9 * pairs and sign * (change - 1) < 0:
+        return "faster"
+    if 10 * losses >= 9 * pairs and sign * (change - 1) > 0:
+        return "slower"
+    return "within noise"
+
+
 def compare(pairs: list[dict], better: dict[str, str]) -> dict:
     """One workload's entry from its pairs, each {side: run} for every side."""
     entry = {
@@ -155,12 +179,19 @@ def compare(pairs: list[dict], better: dict[str, str]) -> dict:
         medians = {side: spread(values[side]) for side in SIDES}
         metric = {**medians,
                   "unit": pairs[0]["parent"]["summary"]["metrics"][name]["unit"]}
+        wins = {}
         for side in SIDES[1:]:
-            wins = sum(sign * (c - p) < 0
-                       for p, c in zip(values["parent"], values[side]))
-            metric[f"{side}_wins"] = f"{wins}/{len(pairs)}"
+            wins[side] = sum(sign * (c - p) < 0
+                             for p, c in zip(values["parent"], values[side]))
+            metric[f"{side}_wins"] = f"{wins[side]}/{len(pairs)}"
             metric[f"{side}_over_parent_median"] = \
                 medians[side]["median"] / medians["parent"]["median"]
+        losses = sum(sign * (c - p) > 0
+                     for p, c in zip(values["parent"], values["change"]))
+        metric["verdict"] = verdict(
+            wins["change"], losses, len(pairs),
+            metric["change_over_parent_median"],
+            metric["control_over_parent_median"], sign)
         entry["metrics"][name] = metric
     faults = {side: [minor_faults(p[side]["result"]) for p in pairs] for side in SIDES}
     entry["minor_faults"] = {
@@ -214,6 +245,10 @@ def main(argv=None) -> int:
                      "control) reads better than the parent, ties for neither; "
                      "minor_faults are per-solve medians "
                      "of each run's solves, then the median over runs",
+        "claim_rule": "verdict faster (slower): the change wins (loses) at "
+                      "least 9 of 10 pairs, ties for neither, and its median "
+                      "ratio to the parent lies further from 1 than the "
+                      "control's; otherwise within noise",
         "machine": host,
         "workloads": workloads,
     }
@@ -238,7 +273,7 @@ def main(argv=None) -> int:
                   f"change {metric['change']['median']:.4g} "
                   f"wins {metric['change_wins']} "
                   f"control {metric['control']['median']:.4g} "
-                  f"wins {metric['control_wins']}")
+                  f"wins {metric['control_wins']} {metric['verdict']}")
     return 0
 
 
