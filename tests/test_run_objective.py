@@ -7,8 +7,8 @@ never write the caller's product, and name error entries as the caller does.
 Its ratio is one whole-matrix divide on dense data and a divide on the
 support otherwise; both must give the bits of the textbook formula. Its
 objective takes the logarithm of the whole product on dense data and of
-the product gathered on the support otherwise; both
-must agree with the textbook formula to rounding, without allocating.
+the product gathered on the support otherwise; both must agree with the
+textbook formula to rounding, without allocating.
 """
 import math
 import warnings
