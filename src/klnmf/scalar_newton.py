@@ -255,12 +255,6 @@ def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, w, ww, scratch):
     np.matmul(ww, R, out=f2)
     _newton_targets(x, f1, f2, c, epsilon, damped, s, lam, step)
     np.copyto(x, s)
-    # A BLAS product with inner size 1: each w[i] * step[j] is one rounded
-    # product, as in np.multiply.outer, and the call is faster. Its out must
-    # be C-contiguous, so an F-ordered R takes the transposed product.
-    a, b, out = (w, step, R) if R.flags.c_contiguous else (step, w, R.T)
-    np.dot(a[:, None], b[None, :], out=out)
-    WH += R
 
 
 def _dense_halves(objective, state, epsilon, inner_repeats, h_first, damped):
@@ -277,6 +271,7 @@ def _dense_halves(objective, state, epsilon, inner_repeats, h_first, damped):
                 _positive_product(V, half.WH, damped, entry)
                 _dense_slice(V, half.WH, R, x, colsum, c, epsilon, damped, w,
                              ww, scratch)
+                np.matmul(half.W, half.H, out=half.WH)
         half.H.sum(axis=1, out=half.row_sums_H)
 
 

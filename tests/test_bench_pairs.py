@@ -61,6 +61,11 @@ def test_claim_rule_calls_faster_slower_and_within_noise():
     mixed = [p * 0.8 for p in parent]
     mixed[0], mixed[1] = 1.2, 1.3
     assert call(mixed, steady) == "within noise"
+    # 9 wins and further from 1 than the control, but the shift of 0.05 is
+    # inside the parent's q3 - q1 of 0.075.
+    close = [p * 0.95 for p in parent]
+    close[3] = 1.0
+    assert call(close, steady) == "within noise"
 
 
 def test_traced_seeds_are_paired_and_summarized(tmp_path, monkeypatch):

@@ -126,9 +126,12 @@ class TestSelfConcordantConstants:
                                           want.view(np.uint64))
 
 
-def sequential_sweep(V, W, H, epsilon, inner_repeats, damped, kinds=None):
+def sequential_sweep(V, W, H, epsilon, inner_repeats, damped, kinds=None,
+                     exact_product=False):
     """Reference: per-scalar loop in the library's slice order. ``kinds``,
-    when given, collects the step kind of every update of H in that order."""
+    when given, collects the step kind of every update of H in that order.
+    The product is updated after every scalar, and with ``exact_product``
+    also recomputed as W @ H after every slice, as the dense path does."""
     W = W.copy()
     H = H.copy()
     c_rows, c_cols = self_concordant_constants(V)
@@ -152,6 +155,8 @@ def sequential_sweep(V, W, H, epsilon, inner_repeats, damped, kinds=None):
                         value = max(H[k, j] - f1 / f2, epsilon)
                 WH[:, j] += W[:, k] * (value - H[k, j])
                 H[k, j] = value
+            if exact_product:
+                WH = W @ H
     row_sums_H = H.sum(axis=1)
     for k in range(r):
         for _ in range(inner_repeats):
@@ -168,6 +173,8 @@ def sequential_sweep(V, W, H, epsilon, inner_repeats, damped, kinds=None):
                         value = max(W[i, k] - f1 / f2, epsilon)
                 WH[i, :] += H[k, :] * (value - W[i, k])
                 W[i, k] = value
+            if exact_product:
+                WH = W @ H
     return W, H
 
 
@@ -265,8 +272,10 @@ class TestSweeps:
         for (damped, sweep), *triples in zip(sweeps, dense, sparse, very_sparse,
                                              flat, damped_mix, gap):
             for (V, W, H), atol in zip(triples, (0.0, 1e-9, 1e-9, 0.0, 0.0, 0.0)):
-                want_W, want_H = sequential_sweep(V, W, H, 1e-9, 2, damped)
-                for _path in each_slice_path(monkeypatch):
+                for path in each_slice_path(monkeypatch):
+                    want_W, want_H = sequential_sweep(
+                        V, W, H, 1e-9, 2, damped,
+                        exact_product=path == "dense")
                     state = SolverState.from_factors(W, H)
                     sweep(V, state, epsilon=1e-9, inner_repeats=2)
                     for got, want in ((state.W, want_W), (state.H, want_H)):

@@ -31,11 +31,14 @@ solve; and the machine.
 
 The verdict is the claim rule. A metric is ``faster`` (better, in the
 direction ``BENCHMARK.json`` gives it) when the change wins at least 9 of
-10 pairs, ties counting for neither side, and its median over the parent's
-lies further from 1 than the control's does; it is ``slower`` when the
-parent wins that share and the same holds of the medians; otherwise it is
-``within noise``. So a change is called only when it beats, in almost every
-pair, what identical code reads against itself.
+10 pairs, ties counting for neither side, its median over the parent's
+lies further from 1 than the control's does, and its median lies further
+from the parent's than the parent's quartiles lie from each other
+(|change median - parent median| > parent q3 - q1); it is ``slower`` when
+the parent wins that share and the same holds of the medians; otherwise it
+is ``within noise``. So a change is called only when it beats, in almost
+every pair, what identical code reads against itself, by more than the
+spread of the parent's own runs.
 With ``--work`` every run's record is kept in that directory and a rerun
 skips the runs already recorded there.
 """
@@ -145,12 +148,13 @@ def minor_faults(result: dict) -> dict:
 
 
 def verdict(wins: int, losses: int, pairs: int, change: float,
-            control: float, sign: float) -> str:
+            control: float, iqr: float, sign: float) -> str:
     """The claim rule of the module docstring. ``wins`` and ``losses`` are
     the pairs the change reads better and worse than the parent in,
     ``change`` and ``control`` the ratios of their medians to the parent's,
-    and ``sign`` is 1 where lower is better, -1 where higher is."""
-    if abs(change - 1) <= abs(control - 1):
+    ``iqr`` the parent's q3 - q1 over its median, and ``sign`` is 1 where
+    lower is better, -1 where higher is."""
+    if abs(change - 1) <= max(abs(control - 1), iqr):
         return "within noise"
     if 10 * wins >= 9 * pairs and sign * (change - 1) < 0:
         return "faster"
@@ -188,10 +192,12 @@ def compare(pairs: list[dict], better: dict[str, str]) -> dict:
                 medians[side]["median"] / medians["parent"]["median"]
         losses = sum(sign * (c - p) > 0
                      for p, c in zip(values["parent"], values["change"]))
+        parent = medians["parent"]
         metric["verdict"] = verdict(
             wins["change"], losses, len(pairs),
             metric["change_over_parent_median"],
-            metric["control_over_parent_median"], sign)
+            metric["control_over_parent_median"],
+            (parent["q3"] - parent["q1"]) / parent["median"], sign)
         entry["metrics"][name] = metric
     faults = {side: [minor_faults(p[side]["result"]) for p in pairs] for side in SIDES}
     entry["minor_faults"] = {
@@ -246,9 +252,11 @@ def main(argv=None) -> int:
                      "minor_faults are per-solve medians "
                      "of each run's solves, then the median over runs",
         "claim_rule": "verdict faster (slower): the change wins (loses) at "
-                      "least 9 of 10 pairs, ties for neither, and its median "
+                      "least 9 of 10 pairs, ties for neither, its median "
                       "ratio to the parent lies further from 1 than the "
-                      "control's; otherwise within noise",
+                      "control's, and its median lies further from the "
+                      "parent's than the parent's q3 - q1; otherwise within "
+                      "noise",
         "machine": host,
         "workloads": workloads,
     }
