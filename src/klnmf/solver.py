@@ -30,9 +30,9 @@ MONOTONE_KINDS = ("mu", "bmd", "sn", "snmu")
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
-#: Kinds built on Newton sweeps. Each sweep adjusts the product after every
-#: slice, at the nonzeros of sparse data and in place on dense data, and
-#: recomputes the full product at its end.
+#: Kinds built on Newton sweeps. Each sweep refreshes the product after
+#: every slice, adjusted at the nonzeros of sparse data and recomputed whole
+#: on dense data, and recomputes the full product at its end.
 NEWTON_KINDS = ("sn", "snmu", "ccd")
 
 #: Kinds whose safeguarded step rule clamps at the bound itself, so their

@@ -1,13 +1,15 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import each_slice_path, random_triple
+from conftest import SLICE_PATHS, each_slice_path, random_triple
 from klnmf import (FULL_STEP_LAMBDA, Factorization, KLObjective,
                    NonDifferentiableError, NonnegMatrix, ProblemInstance,
                    SolverConfig, SolverState, bmd_step, ccd_sweep,
@@ -178,6 +180,36 @@ def sequential_sweep(V, W, H, epsilon, inner_repeats, damped, kinds=None,
     return W, H
 
 
+def exact_ccd_sweep(V, W, H, epsilon, inner_repeats):
+    """Reference: the sequential ccd loop of :func:`sequential_sweep`, with
+    every update computed exactly in rationals from the float64 data and
+    factors, its product included, and rounded once to float64."""
+    W = W.copy()
+    H = H.copy()
+    epsilon = Fraction(epsilon)
+    # The H half, then the W half as the H half of the transposed problem;
+    # X is the factor updated and A the other one, both written in place.
+    for X, A, data in ((H, W, V), (W.T, H.T, V.T)):
+        for k in range(X.shape[0]):
+            for _ in range(inner_repeats):
+                colsum = sum(map(Fraction, A[:, k]))
+                for j in range(X.shape[1]):
+                    f1, f2 = colsum, Fraction(0)
+                    for i in np.flatnonzero(data[:, j]):
+                        wh = sum(Fraction(a) * Fraction(x)
+                                 for a, x in zip(A[i], X[:, j]))
+                        ratio = Fraction(data[i, j]) / wh
+                        f1 -= Fraction(A[i, k]) * ratio
+                        f2 += Fraction(A[i, k]) ** 2 * ratio / wh
+                    x = Fraction(X[k, j])
+                    if f2 > 0:
+                        value = max(x - f1 / f2, epsilon)
+                    else:
+                        value = epsilon if f1 > 0 else x
+                    X[k, j] = float(value)
+    return W, H
+
+
 def sparse_triple(rng, m=6, n=5, r=3):
     """Random data with an empty first row and column and about half of all
     its entries zero, with strictly positive factors."""
@@ -231,6 +263,17 @@ def damped_triple(rng):
     return V, W, H
 
 
+def slice_inputs(rng):
+    """The six inputs of the slice tests for each sweep kind, sn then ccd:
+    dense, sparse, very sparse, flat curvature, damped and full steps mixed,
+    and a column gap."""
+    makes = (partial(random_triple, m=5, n=4, r=3), sparse_triple,
+             very_sparse_triple, flat_curvature_triple, damped_triple,
+             column_gap_triple)
+    draws = [[make(rng) for _ in range(2)] for make in makes]
+    return [list(inputs) for inputs in zip(*draws)]
+
+
 class TestSweeps:
     def test_exact_interior_fit_is_fixed_point(self):
         W = np.array([[1.0, 0.5], [0.2, 2.0]])
@@ -261,16 +304,11 @@ class TestSweeps:
         # three inputs reach flat curvature with either slope, a slice that
         # mixes damped and full steps, and a half with an empty data line
         # next to one without (see test_inputs_reach_their_branches). Each
-        # input runs on both slice paths.
+        # input runs on both slice paths, against a reference whose product
+        # follows the path's: updated after every scalar on the support
+        # path, and recomputed after every slice on the dense path.
         sweeps = ((True, sn_sweep), (False, ccd_sweep))
-        dense = [random_triple(rng, m=5, n=4, r=3) for _ in sweeps]
-        sparse = [sparse_triple(rng) for _ in sweeps]
-        very_sparse = [very_sparse_triple(rng) for _ in sweeps]
-        flat = [flat_curvature_triple(rng) for _ in sweeps]
-        damped_mix = [damped_triple(rng) for _ in sweeps]
-        gap = [column_gap_triple(rng) for _ in sweeps]
-        for (damped, sweep), *triples in zip(sweeps, dense, sparse, very_sparse,
-                                             flat, damped_mix, gap):
+        for (damped, sweep), triples in zip(sweeps, slice_inputs(rng)):
             for (V, W, H), atol in zip(triples, (0.0, 1e-9, 1e-9, 0.0, 0.0, 0.0)):
                 for path in each_slice_path(monkeypatch):
                     want_W, want_H = sequential_sweep(
@@ -282,6 +320,23 @@ class TestSweeps:
                         np.testing.assert_allclose(
                             got, want, rtol=1e-12,
                             atol=atol * np.abs(want).max())
+
+    def test_dense_ccd_slices_agree_with_exact_arithmetic(self, rng,
+                                                          monkeypatch):
+        # A product updated after every scalar drifts through undamped ccd
+        # steps: on these inputs the float64 sequential loop strays from the
+        # exact one by up to 1.5e-7 of the largest factor entry. The dense
+        # path recomputes its product after every slice.
+        monkeypatch.setattr("klnmf.objective.DENSE_DENSITY",
+                            SLICE_PATHS["dense"])
+        for V, W, H in slice_inputs(rng)[1]:
+            want_W, want_H = exact_ccd_sweep(V, W, H, 1e-9, 2)
+            state = SolverState.from_factors(W, H)
+            ccd_sweep(V, state, epsilon=1e-9, inner_repeats=2)
+            scale = max(np.abs(want_W).max(), np.abs(want_H).max())
+            for got, want in ((state.W, want_W), (state.H, want_H)):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-14 * scale)
 
     def test_inputs_reach_their_branches(self, rng):
         # Per half (H, W): whether every entry of a row of its H has data.
