@@ -31,6 +31,10 @@ from .traces import RunTrace, TraceSample, read_traces, write_traces
 TRACES_FILE = "traces.csv"
 RUNS_FILE = "runs.json"
 REPORT_FILE = "report.json"
+#: The performance profiles of a report sample rho at ``RHO_POINTS`` even
+#: steps from 0 to ``RHO_MAX``; ``klnmf report --what profile`` takes its own
+#: maximum.
+RHO_MAX, RHO_POINTS = 1.0, 101
 
 
 @dataclass(frozen=True)
@@ -209,9 +213,10 @@ def execute(plan: BenchPlan, workers: int = 1) -> BenchOutcome:
     return BenchOutcome(traces=traces, results=results, report=report)
 
 
-def build_report(results, rho_max: float = 1.0, rho_points: int = 101) -> dict:
-    """Report tree: {class -> solver -> {mean, std, ranking, profile}}."""
-    rho_grid = np.linspace(0.0, rho_max, rho_points)
+def build_report(results) -> dict:
+    """Report tree: {class -> solver -> {mean, std, ranking, profile}}, each
+    profile on ``RHO_POINTS`` even steps of rho from 0 to ``RHO_MAX``."""
+    rho_grid = np.linspace(0.0, RHO_MAX, RHO_POINTS)
     stats = summary_stats(results)
     report: dict = {}
     for label in stats:

@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
     report.add_argument("--archive", required=True)
     report.add_argument("--what", choices=("etcurves", "profile", "ranking",
                                            "summary"), required=True)
-    report.add_argument("--rho-max", type=float, default=1.0)
+    report.add_argument("--rho-max", type=float, default=benchmark.RHO_MAX)
     report.add_argument("--median-grid", type=int, default=0,
                         help="append per-solver median curves on this many "
                              "grid points (etcurves only)")
@@ -280,7 +280,7 @@ def cmd_report(ns) -> int:
             for row in rows:
                 writer.writerow(row[:4] + tuple(_fmt(x) for x in row[4:]))
     elif ns.what == "profile":
-        rho_grid = np.linspace(0.0, ns.rho_max, 101)
+        rho_grid = np.linspace(0.0, ns.rho_max, benchmark.RHO_POINTS)
         profile = performance_profile(results, rho_grid)
         with open(ns.out, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -289,11 +289,12 @@ class Support:
     ``dense`` says whether the data is dense (see ``DENSE_DENSITY``): then
     the ratio, the log pass of the objective and the Newton slices run over
     the whole matrix, the first two where :meth:`whole_matrix` allows. Built
-    on first use: the logarithm constants of the objective; for the Newton
-    sweeps ``orders``, which give the slices on sparse data their layout and
-    the index in V of each nonzero they read, and ``curvature``, the
-    read-only curvature constants of every sweep.
-    The slices on dense data read V itself, and V.T as a view.
+    on first use: the logarithm constants of the objective; ``curvature``,
+    the read-only curvature constants of every Newton sweep, computed from
+    V; and ``orders``, which give the Newton slices on sparse data their
+    layout and the index in V of each nonzero they read. Only sparse data
+    builds the orders: the slices on dense data read V itself, and V.T as a
+    view.
 
     Nothing here is written once built and nothing is scratch, so a
     :class:`~klnmf.matrices.NonnegMatrix` builds its support once and every
@@ -356,15 +357,12 @@ class Support:
     @cached_property
     def curvature(self) -> tuple[np.ndarray, np.ndarray]:
         """The curvature constants of the rows and of the columns of V (see
-        :func:`~klnmf.scalar_newton.self_concordant_constants`), from the
-        minima of the segments of the orders."""
-        # From the orders, so they exist before a run's first sweep: built
-        # inside it, every sparse-counts solve ran 25% slower, mu included.
-        by_cols, by_rows = self.orders
-        curvature = np.zeros(self.shape[0]), np.zeros(self.shape[1])
-        for c, order in zip(curvature, (by_rows, by_cols)):
-            c[order.segments] = 1.0 / np.sqrt(
-                np.minimum.reduceat(order.values, order.starts))
+        :func:`~klnmf.scalar_newton.self_concordant_constants`): 1/sqrt of
+        the smallest positive entry of each, and 0.0 for one without data.
+        Computed from V itself, so dense data never builds the orders."""
+        curvature = tuple(1.0 / np.sqrt(np.min(self.V, axis=a, initial=np.inf,
+                                                where=self.V > 0)) for a in (1, 0))
+        for c in curvature:
             c.flags.writeable = False
         return curvature
 
@@ -389,7 +387,9 @@ class KLObjective:
     alone picks the path of the ratio, the log pass and the Newton slices.
 
     The object itself is scratch, allocated on first use: ``_wh``, an
-    nnz-length vector that a product is gathered into; ``ratio``, the m×n
+    nnz-length vector that a product is gathered into, row 0 of a
+    C-contiguous (4, nnz) block whose other rows are the Newton scratch of
+    sparse data (on dense data it has row 0 only); ``ratio``, the m×n
     result of :func:`support_ratio` on its support path, which stays
     exactly zero off the support; ``work``, a buffer of V's shape and
     memory layout that keeps nothing between calls: the whole-matrix ratio
@@ -410,8 +410,12 @@ class KLObjective:
         return np.zeros(self.support.shape)
 
     @cached_property
+    def _nnz_block(self) -> np.ndarray:
+        return np.empty((1 if self.support.dense else 4, self.support.index.size))
+
+    @cached_property
     def _wh(self) -> np.ndarray:
-        return np.empty_like(self.support.values)
+        return self._nnz_block[0]
 
     @cached_property
     def work(self) -> np.ndarray:
@@ -430,7 +434,8 @@ class KLObjective:
         Otherwise it has (order, c, scratch, vectors): the half's order of
         the nonzeros (``Support.orders``); the constants of the entries of a
         row of H with data; f1, f2, s, lam, step and the row's entries
-        there; and four nnz-length vectors that both halves share: ``_wh``,
+        there; and four nnz-length vectors that both halves share, the rows
+        of one C-contiguous (4, nnz) block allocated once: ``_wh`` (row 0),
         which carries the product at the nonzeros, the ratio, a work vector
         and the column of W there.
         """
@@ -444,7 +449,7 @@ class KLObjective:
                           tuple(np.empty((5, V.shape[1]))))
                          for V, R, c in ((support.V, self.work, c_cols),
                                          (support.V.T, self.work.T, c_rows)))
-        vectors = (self._wh, *(np.empty(support.index.size) for _ in range(3)))
+        vectors = (self._wh, *self._nnz_block[1:])
         return tuple((order, c[order.segments],
                       tuple(np.empty((6, order.segments.size))), vectors)
                      for order, c in zip(support.orders, (c_cols, c_rows)))

@@ -30,11 +30,12 @@ derivatives of a slice are then per-segment sums (``np.add.reduceat``).
 Each half gathers the product at its nonzeros into a vector, updates that
 vector in place and writes it back there at its end. Both halves share four
 nnz-length vectors (the support product, the ratio, a work vector and the W
-column at the nonzeros), and each has six buffers with one entry per entry
-of a row of its H with data (the derivatives f1 and f2, the targets, the
-decrements, the steps and the row's own entries there) and the curvature
-constants of those entries. A slice computes on those entries only; an
-entry without data has no curvature and is set directly.
+column at the nonzeros), the rows of one C-contiguous (4, nnz) block, and
+each has six buffers with one entry per entry of a row of its H with data
+(the derivatives f1 and f2, the targets, the decrements, the steps and the
+row's own entries there) and the curvature constants of those entries. A
+slice computes on those entries only; an entry without data has no
+curvature and is set directly. Only sparse data builds the orders.
 
 On dense data a slice works on the whole matrix: R = V/WH is one divide,
 f1 = colsum - w·R one BLAS matrix-vector product, R/WH a second divide in

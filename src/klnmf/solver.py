@@ -127,9 +127,8 @@ def _make_stepper(config: SolverConfig, matrix: NonnegMatrix,
     in its scratch, and each Newton half reads its layout, its curvature
     constants and its scratch from the objective's workspace
     (:attr:`KLObjective.newton`). For a Newton kind that workspace, and the
-    support's orders and curvature it reads, are built here, before the
-    first sweep: built inside it, every sparse solve ran slower, MU
-    included.
+    support's curvature and, on sparse data only, its orders, are built
+    here, before the first sweep, so that no sweep allocates them.
     """
     V = matrix.values
     newton = {"inner_repeats": config.inner_repeats, "objective": objective}

@@ -174,10 +174,10 @@ class TestArchive:
 class TestReportTree:
     def test_schema_and_profile_shape(self):
         outcome = execute(tiny_plan(solvers=("mu", "bmd"), inits=2, iters=10))
-        report = build_report(outcome.results, rho_max=1.0, rho_points=11)
+        report = build_report(outcome.results)
         node = report["low-rank-l1-none"]["mu"]
         assert set(node) == {"mean", "std", "ranking", "profile"}
         assert len(node["ranking"]) == 2
-        assert len(node["profile"]) == 11
+        assert len(node["profile"]) == 101
         perf = [p for _, p in node["profile"]]
         assert all(b >= a for a, b in zip(perf, perf[1:]))

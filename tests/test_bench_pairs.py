@@ -115,6 +115,8 @@ def test_traced_seeds_are_paired_and_summarized(tmp_path, monkeypatch):
     assert metric["control_over_parent_median"] == pytest.approx(5.75 / 6.0)
     solve = entry["metrics"]["sn.solve_s"]
     assert solve["change_wins"] == "3/3" and solve["control_wins"] == "0/3"
+    # 3 of 3 wins, but fewer than 10 pairs never make a verdict.
+    assert solve["verdict"] == "within noise"
     assert solve["control_over_parent_median"] == pytest.approx(0.41 / 0.4)
     assert entry["correct"]["control"] == [True] * 3
     assert entry["minor_faults"] == {

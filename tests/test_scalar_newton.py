@@ -127,6 +127,31 @@ class TestSelfConcordantConstants:
             np.testing.assert_array_equal(got.view(np.uint64),
                                           want.view(np.uint64))
 
+    def test_constants_are_the_minima_of_the_order_segments(self, rng):
+        # From V itself, bitwise what the minima over each segment of the
+        # Newton orders give, with 0.0 where a row or column has no data.
+        for make in (sparse_triple, very_sparse_triple, flat_curvature_triple):
+            support = Support(make(rng)[0])
+            for c, order in zip(support.curvature, support.orders[::-1]):
+                want = np.zeros(c.size)
+                want[order.segments] = 1.0 / np.sqrt(
+                    np.minimum.reduceat(order.values, order.starts))
+                np.testing.assert_array_equal(c.view(np.uint64),
+                                              want.view(np.uint64))
+
+    def test_dense_data_builds_no_orders_for_its_constants(self, rng):
+        import tracemalloc
+        matrix = NonnegMatrix(rng.poisson(3.0, size=(200, 200)) + 1.0)
+        support = matrix.support
+        tracemalloc.start()
+        try:
+            self_concordant_constants(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6, peak
+        assert "orders" not in vars(support)
+
 
 def sequential_sweep(V, W, H, epsilon, inner_repeats, damped, kinds=None,
                      exact_product=False):
@@ -467,6 +492,8 @@ class TestWorkspace:
         assert matrix.support.dense == (make == "dense")
         assert nnz >= 8 * r * max(m, n)
         self_concordant_constants(matrix)
+        if make == "sparse":
+            matrix.support.orders  # noqa: B018 - as a run builds them
         objective = KLObjective(matrix)
         peaks = []
         for steps in (1, 5):
@@ -485,8 +512,8 @@ class TestWorkspace:
     @pytest.mark.parametrize("kind", ["sn", "snmu", "ccd"])
     def test_run_builds_the_workspace_before_the_first_sweep(
             self, rng, monkeypatch, kind, make):
-        # Built inside the first sweep, the support's orders made every
-        # sparse solve slower, MU included.
+        # The run's workspace and the support's curvature exist before the
+        # first sweep, and only sparse data lays out the orders.
         import klnmf.solver as solver_mod
         matrix, r, state = workspace_instance(rng, make)
         built = []
@@ -494,12 +521,28 @@ class TestWorkspace:
             def spy(*args, _sweep=getattr(solver_mod, name), **kwargs):
                 objective = kwargs["objective"]
                 built.append(("newton" in vars(objective),
-                              {"orders", "curvature"} <= vars(objective.support).keys()))
+                              "curvature" in vars(objective.support),
+                              "orders" in vars(objective.support)))
                 return _sweep(*args, **kwargs)
             monkeypatch.setattr(solver_mod, name, spy)
         init = Factorization(NonnegMatrix(state.W), NonnegMatrix(state.H))
         run(ProblemInstance(matrix, r), init, SolverConfig(kind, max_outer_iters=1))
-        assert built and built[0] == (True, True)
+        assert built and built[0] == (True, True, make == "sparse")
+
+    def test_sparse_newton_vectors_are_the_rows_of_one_block(self, rng):
+        matrix, _, _ = workspace_instance(rng, "sparse")
+        nnz = matrix.support.index.size
+        objective = KLObjective(matrix)
+        halves = objective.newton
+        block = objective._wh.base
+        assert block is not None and block.shape == (4, nnz)
+        assert block.flags.c_contiguous
+        for half in halves:
+            vectors = half[3]
+            assert vectors[0] is objective._wh
+            for row, vector in enumerate(vectors):
+                assert vector.base is block
+                assert vector.ctypes.data == block[row].ctypes.data
 
 
 def zero_product_off_the_support():

@@ -244,9 +244,10 @@ class TestStepDispatch:
         assert len(trace.samples) == 2
 
 
-def sparse_instance(rng, m=9, n=7, r=3):
-    """Poisson data with an empty row and column, and a positive init."""
-    V = rng.poisson(2.0, size=(m, n)).astype(float)
+def sparse_instance(rng, m=9, n=7, r=3, mean=2.0):
+    """Poisson data of the given ``mean`` with an empty row and column, and
+    a positive init."""
+    V = rng.poisson(mean, size=(m, n)).astype(float)
     V[1, :] = 0.0
     V[:, 2] = 0.0
     instance = ProblemInstance(V=NonnegMatrix(V), rank=r)
@@ -279,8 +280,8 @@ def assert_same_record(got, want):
 
 
 class TestSupportLayoutPerMatrix:
-    """The Newton kinds lay out the support of a data matrix (its orders)
-    once, and every later run on it reuses them."""
+    """The Newton kinds lay out the support of sparse data (its orders)
+    once, and every later run on it reuses them; dense data has none."""
 
     def test_reused_layout_is_bitwise_a_fresh_one_and_built_once(
             self, rng, monkeypatch):
@@ -293,15 +294,20 @@ class TestSupportLayoutPerMatrix:
             return order(*args)
 
         monkeypatch.setattr(objective_mod, "_order", counting_order)
-        instance, init = sparse_instance(rng)
-        for kind in ("sn", "snmu", "ccd"):
-            for _ in range(2):
-                fresh = ProblemInstance(NonnegMatrix(instance.V.values.copy()),
-                                        instance.rank)
-                assert_same_record(run_record(instance, init, kind),
-                                   run_record(fresh, init, kind))
-        # Two orders, one per half, for each matrix.
-        assert len(builds) == 2 * (1 + 6)
+        # Two orders, one per half, for each matrix with sparse data, and
+        # none for dense data: 68% of the entries are nonzero at mean 2,
+        # 29% at mean 0.5.
+        for mean, orders in ((2.0, 0), (0.5, 2 * (1 + 6))):
+            builds.clear()
+            instance, init = sparse_instance(rng, mean=mean)
+            assert instance.V.support.dense == (orders == 0)
+            for kind in ("sn", "snmu", "ccd"):
+                for _ in range(2):
+                    fresh = ProblemInstance(
+                        NonnegMatrix(instance.V.values.copy()), instance.rank)
+                    assert_same_record(run_record(instance, init, kind),
+                                       run_record(fresh, init, kind))
+            assert len(builds) == orders
 
     def test_threads_on_one_instance_share_nothing_they_write(self, rng):
         # More threads than cores and a short switch interval, so that runs

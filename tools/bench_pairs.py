@@ -30,15 +30,18 @@ correctness and failure counts of every run; the minor page faults per
 solve; and the machine.
 
 The verdict is the claim rule. A metric is ``faster`` (better, in the
-direction ``BENCHMARK.json`` gives it) when the change wins at least 9 of
-10 pairs, ties counting for neither side, its median over the parent's
-lies further from 1 than the control's does, and its median lies further
-from the parent's than the parent's quartiles lie from each other
+direction ``BENCHMARK.json`` gives it) when it has at least 10 pairs, the
+change wins at least 9 of 10 of them, ties counting for neither side, its
+median over the parent's lies further from 1 than the control's does, and
+its median lies further from the parent's than the parent's quartiles lie
+from each other
 (|change median - parent median| > parent q3 - q1); it is ``slower`` when
 the parent wins that share and the same holds of the medians; otherwise it
 is ``within noise``. So a change is called only when it beats, in almost
 every pair, what identical code reads against itself, by more than the
-spread of the parent's own runs.
+spread of the parent's own runs. Fewer than 10 pairs, as in the traced
+groups with one pair per traced seed, always read ``within noise``: 3 of 3
+wins is what a layer of unchanged code reads often enough.
 With ``--work`` every run's record is kept in that directory and a rerun
 skips the runs already recorded there.
 """
@@ -150,11 +153,12 @@ def minor_faults(result: dict) -> dict:
 def verdict(wins: int, losses: int, pairs: int, change: float,
             control: float, iqr: float, sign: float) -> str:
     """The claim rule of the module docstring. ``wins`` and ``losses`` are
-    the pairs the change reads better and worse than the parent in,
+    the pairs, of ``pairs`` (at least 10 for any verdict but ``within
+    noise``), the change reads better and worse than the parent in,
     ``change`` and ``control`` the ratios of their medians to the parent's,
     ``iqr`` the parent's q3 - q1 over its median, and ``sign`` is 1 where
     lower is better, -1 where higher is."""
-    if abs(change - 1) <= max(abs(control - 1), iqr):
+    if pairs < 10 or abs(change - 1) <= max(abs(control - 1), iqr):
         return "within noise"
     if 10 * wins >= 9 * pairs and sign * (change - 1) < 0:
         return "faster"
@@ -251,8 +255,9 @@ def main(argv=None) -> int:
                      "control) reads better than the parent, ties for neither; "
                      "minor_faults are per-solve medians "
                      "of each run's solves, then the median over runs",
-        "claim_rule": "verdict faster (slower): the change wins (loses) at "
-                      "least 9 of 10 pairs, ties for neither, its median "
+        "claim_rule": "verdict faster (slower): of at least 10 pairs, the "
+                      "change wins (loses) at least 9 of 10, ties for "
+                      "neither, its median "
                       "ratio to the parent lies further from 1 than the "
                       "control's, and its median lies further from the "
                       "parent's than the parent's q3 - q1; otherwise within "
