@@ -289,7 +289,8 @@ class Support:
     ``dense`` says whether the data is dense (see ``DENSE_DENSITY``): then
     the ratio, the log pass of the objective and the Newton slices run over
     the whole matrix, the first two where :meth:`whole_matrix` allows. Built
-    on first use: the logarithm constants of the objective; ``curvature``,
+    on first use: the logarithm constants of the objective; ``vmax``, the
+    largest entry of V, which dense ccd sweeps read; ``curvature``,
     the read-only curvature constants of every Newton sweep, computed from
     V; and ``orders``, which give the Newton slices on sparse data their
     layout and the index in V of each nonzero they read. Only sparse data
@@ -342,6 +343,13 @@ class Support:
         return self.dense and WH.shape == self.shape and WH.min() > 0
 
     @cached_property
+    def vmax(self) -> float:
+        """The largest entry of V (0.0 without data): with the factors, it
+        bounds V/WH^2 in a dense ccd half (see
+        :func:`~klnmf.scalar_newton._floor_idle`)."""
+        return float(self.values.max(initial=0.0))
+
+    @cached_property
     def orders(self) -> tuple[_Order, _Order]:
         """The nonzeros ordered for both halves of a Newton sweep, indexed
         by ``SolverState.transposed``: the H half reads them column by
@@ -387,9 +395,9 @@ class KLObjective:
     alone picks the path of the ratio, the log pass and the Newton slices.
 
     The object itself is scratch, allocated on first use: ``_wh``, an
-    nnz-length vector that a product is gathered into, row 0 of a
-    C-contiguous (4, nnz) block whose other rows are the Newton scratch of
-    sparse data (on dense data it has row 0 only); ``ratio``, the m×n
+    nnz-length vector that a product is gathered into, on its own for
+    ``mu``, ``bmd`` and dense data, and on sparse data for a Newton run row
+    0 of the (4, nnz) block of :attr:`newton`; ``ratio``, the m×n
     result of :func:`support_ratio` on its support path, which stays
     exactly zero off the support; ``work``, a buffer of V's shape and
     memory layout that keeps nothing between calls: the whole-matrix ratio
@@ -410,12 +418,8 @@ class KLObjective:
         return np.zeros(self.support.shape)
 
     @cached_property
-    def _nnz_block(self) -> np.ndarray:
-        return np.empty((1 if self.support.dense else 4, self.support.index.size))
-
-    @cached_property
     def _wh(self) -> np.ndarray:
-        return self._nnz_block[0]
+        return np.empty(self.support.index.size)
 
     @cached_property
     def work(self) -> np.ndarray:
@@ -435,9 +439,10 @@ class KLObjective:
         the nonzeros (``Support.orders``); the constants of the entries of a
         row of H with data; f1, f2, s, lam, step and the row's entries
         there; and four nnz-length vectors that both halves share, the rows
-        of one C-contiguous (4, nnz) block allocated once: ``_wh`` (row 0),
-        which carries the product at the nonzeros, the ratio, a work vector
-        and the column of W there.
+        of one C-contiguous (4, nnz) block allocated here: ``_wh`` (row 0,
+        which replaces any vector :meth:`gather` built before), which
+        carries the product at the nonzeros, the ratio, a work vector and
+        the column of W there.
         """
         support = self.support
         c_rows, c_cols = support.curvature
@@ -449,7 +454,8 @@ class KLObjective:
                           tuple(np.empty((5, V.shape[1]))))
                          for V, R, c in ((support.V, self.work, c_cols),
                                          (support.V.T, self.work.T, c_rows)))
-        vectors = (self._wh, *self._nnz_block[1:])
+        vectors = tuple(np.empty((4, support.index.size)))
+        self._wh = vectors[0]
         return tuple((order, c[order.segments],
                       tuple(np.empty((6, order.segments.size))), vectors)
                      for order, c in zip(support.orders, (c_cols, c_rows)))

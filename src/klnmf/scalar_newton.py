@@ -61,12 +61,19 @@ the workspace of the run's objective
 (:attr:`klnmf.objective.KLObjective.newton`), built once per run, so no
 sweep allocates anything of size nnz or m·n.
 
-On either path one guard, :func:`_positive_product`, runs before every
-slice: ccd floors the product; sn raises at the caller's (i, j) where it is
-0 and V is positive, and sets it to +inf where both are 0 (at epsilon 0,
-W @ H can be exactly 0 where V is), which divides 0 to 0, so a slice never
-computes 0 / 0. The product recomputed after a dense slice is 0 there
-again, and the next slice's guard parks it anew.
+One guard, :func:`_positive_product`, runs before a slice: ccd floors the
+product; sn raises at the caller's (i, j) where it is 0 and V is positive,
+and sets it to +inf where both are 0 (at epsilon 0, W @ H can be exactly 0
+where V is), which divides 0 to 0, so a slice never computes 0 / 0. The
+product recomputed after a dense slice is 0 there again, and the next
+slice's guard parks it anew. sn guards every slice, and so does ccd on
+sparse data, whose product is adjusted incrementally. A dense ccd half
+floors the product, and caps V/WH^2 at 1e300, only where
+:func:`_floor_idle` cannot prove both passes identities before the half's
+first slice: a product recomputed by GEMM is a rounded sum of nonnegative
+terms, never below its largest one, and a ccd slice writes no entry of H
+below epsilon, so min(W) * min(min(H), epsilon) bounds every entry of the
+half's products from below.
 
 On either path a slice writes only into this scratch, H and the product,
 and makes about twenty NumPy calls. Only a slice with a damped step, or
@@ -91,7 +98,8 @@ FULL_STEP_LAMBDA = 0.683802
 #: Floor applied to the cached product by the plain cyclic variant so that
 #: it is never zero or below where a slice divides by it: incremental
 #: updates on sparse data can drive it there, and on dense data it is
-#: exactly 0 where every term of W @ H is.
+#: exactly 0 where every term of W @ H is. A dense half skips it when
+#: :func:`_floor_idle` proves that no entry of the product is below it.
 CCD_PRODUCT_FLOOR = 1e-300
 
 
@@ -165,7 +173,8 @@ def _positive_product(values, wh, damped, entry):
     """Guard ``wh``, the product at the entries whose data is ``values``,
     in place: the plain cyclic variant (not ``damped``) floors it at
     ``CCD_PRODUCT_FLOOR``; otherwise a zero where the data is positive
-    raises at ``entry(position)``, the caller's (i, j)."""
+    raises at ``entry(position)``, the caller's (i, j). A dense ccd half
+    calls it only where :func:`_floor_idle` fails."""
     if not damped:
         np.maximum(wh, CCD_PRODUCT_FLOOR, out=wh)
     elif wh.size and not wh.min() > 0:
@@ -241,7 +250,8 @@ def _support_halves(objective, state, epsilon, inner_repeats, h_first,
         half.H.sum(axis=1, out=half.row_sums_H)
 
 
-def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, w, ww, scratch):
+def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, capped, w, ww,
+                 scratch):
     """Newton update of ``x``, row k of a half's H (a view written in
     place), from the whole product ``WH``, which the caller recomputes
     after the slice.
@@ -250,23 +260,45 @@ def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, w, ww, scratch):
     each C- or F-ordered. ``w`` is column k of W, ``ww`` its square,
     ``colsum`` its sum and ``c`` the curvature constants of every entry of
     x; ``scratch`` holds f1, f2, s, lam and step, one entry per entry of x.
-    The caller keeps ``WH`` positive (see :func:`_positive_product`). An entry
-    without data has f1 = colsum and f2 = 0, so the flat rule sets it as the
+    The caller keeps ``WH`` positive (see :func:`_positive_product`). With
+    ``capped``, where ccd floors the product, V/WH^2 is capped at 1e300 as
+    on the support path; a ccd half that :func:`_floor_idle` proves
+    neither floor nor cap can touch runs without both. An entry without
+    data has f1 = colsum and f2 = 0, so the flat rule sets it as the
     support path does.
     """
     f1, f2, s, lam, step = scratch
     np.divide(V, WH, out=R)
     np.matmul(w, R, out=f1)
     np.subtract(colsum, f1, out=f1)
-    if damped:
-        np.divide(R, WH, out=R)
-    else:
+    if capped:
         with np.errstate(over="ignore"):
             np.divide(R, WH, out=R)
         np.minimum(R, 1e300, out=R)
+    else:
+        np.divide(R, WH, out=R)
     np.matmul(ww, R, out=f2)
     _newton_targets(x, f1, f2, c, epsilon, damped, s, lam, step)
     np.copyto(x, s)
+
+
+def _floor_idle(W, H, epsilon, vmax) -> bool:
+    """Whether no undamped slice of a dense half with factors ``W`` and
+    ``H`` can meet a product below ``CCD_PRODUCT_FLOOR`` or a V/WH^2 above
+    1e300, where ``vmax`` is the largest entry of V; then the floor and
+    the cap of the half are identities.
+
+    No slice of the half changes W, and every entry it writes is at least
+    epsilon or left as it was (see :func:`_newton_targets`), so every term
+    of the recomputed product is at least lo = min(W) * min(H, epsilon),
+    and so is every entry, a rounded sum of nonnegative terms. The bound
+    is computed in Python floats, where an overflow reads inf; H.min()
+    comes first in min() so that a NaN in H fails it.
+    """
+    w_min, h_min = float(W.min()), min(float(H.min()), epsilon)
+    lo = w_min * h_min
+    return (w_min > 0 and h_min > 0 and lo >= CCD_PRODUCT_FLOOR
+            and vmax / lo / lo <= 1e300)
 
 
 def _dense_halves(objective, state, epsilon, inner_repeats, h_first, damped):
@@ -275,14 +307,17 @@ def _dense_halves(objective, state, epsilon, inner_repeats, h_first, damped):
         # A position in the W half's V.T is one in V in F order.
         entry = partial(np.unravel_index, shape=objective.support.shape,
                         order="F" if half.transposed else "C")
+        floored = not damped and not _floor_idle(
+            half.W, half.H, epsilon, objective.support.vmax)
         for k in range(half.H.shape[0]):
             np.copyto(w, half.W[:, k])
             np.multiply(w, w, out=ww)
             x, colsum = half.H[k], half.col_sums_W[k]
             for _ in range(inner_repeats):
-                _positive_product(V, half.WH, damped, entry)
-                _dense_slice(V, half.WH, R, x, colsum, c, epsilon, damped, w,
-                             ww, scratch)
+                if damped or floored:
+                    _positive_product(V, half.WH, damped, entry)
+                _dense_slice(V, half.WH, R, x, colsum, c, epsilon, damped,
+                             floored, w, ww, scratch)
                 np.matmul(half.W, half.H, out=half.WH)
         half.H.sum(axis=1, out=half.row_sums_H)
 
@@ -319,8 +354,10 @@ def ccd_sweep(V, state, epsilon, inner_repeats: int = 3, h_first: bool = True,
 
     The cached product, adjusted or recomputed after every slice as in
     :func:`sn_sweep`, is floored at CCD_PRODUCT_FLOOR before each slice so
-    a product that reaches 0 can never produce NaN derivatives. The
-    objective may increase; callers track it rather than asserting
+    a product that reaches 0 can never produce NaN derivatives. On dense
+    data a half floors it, and caps V/WH^2, only where the bound of
+    :func:`_floor_idle` fails; elsewhere neither pass can change a bit.
+    The objective may increase; callers track it rather than asserting
     monotonicity.
     """
     return _newton_sweep(V, state, epsilon, inner_repeats, h_first,

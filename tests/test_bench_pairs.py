@@ -68,6 +68,26 @@ def test_claim_rule_calls_faster_slower_and_within_noise():
     assert call(close, steady) == "within noise"
 
 
+def test_control_verdict_is_the_claim_rule_for_the_control_alone():
+    parent = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.1, 0.9, 1.0]
+
+    def control_verdict(control):
+        pairs = [{"parent": record(p, [1]), "change": record(p, [1]),
+                  "control": record(a, [1])}
+                 for p, a in zip(parent, control)]
+        return bench_pairs.compare(pairs, {"sn.solve_s": "lower"})[
+            "metrics"]["sn.solve_s"]["control_verdict"]
+
+    # 10 of 10 wins, and the shift of 0.2 lies beyond the parent's q3 - q1
+    # of 0.075; no third side is asked to read closer to 1.
+    assert control_verdict([p * 0.8 for p in parent]) == "faster"
+    assert control_verdict([p * 1.2 for p in parent]) == "slower"
+    # Identical values tie in every pair.
+    assert control_verdict(parent) == "within noise"
+    # 10 of 10 wins inside the parent's q3 - q1.
+    assert control_verdict([p * 0.95 for p in parent]) == "within noise"
+
+
 def test_traced_seeds_are_paired_and_summarized(tmp_path, monkeypatch):
     for side in bench_pairs.SIDES:
         (tmp_path / side / "klbench").mkdir(parents=True)

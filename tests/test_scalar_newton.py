@@ -10,8 +10,8 @@ import pytest
 
 import oracles
 from conftest import SLICE_PATHS, each_slice_path, random_triple
-from klnmf import (FULL_STEP_LAMBDA, Factorization, KLObjective,
-                   NonDifferentiableError, NonnegMatrix, ProblemInstance,
+from klnmf import (FULL_STEP_LAMBDA, MACHINE_EPS, Factorization,
+                   KLObjective, NonDifferentiableError, NonnegMatrix, ProblemInstance,
                    SolverConfig, SolverState, bmd_step, ccd_sweep,
                    kl_divergence, mu_step, scalar_newton,
                    self_concordant_constants, sn_sweep, sn_update_scalar,
@@ -544,6 +544,18 @@ class TestWorkspace:
                 assert vector.base is block
                 assert vector.ctypes.data == block[row].ctypes.data
 
+    @pytest.mark.parametrize("step", [mu_step, bmd_step])
+    def test_sparse_mu_and_bmd_gather_into_a_vector_of_their_own(self, rng,
+                                                                  step):
+        # Only the Newton workspace lays out the (4, nnz) block: mu and bmd
+        # gather the product into one nnz-length vector.
+        matrix, _, state = workspace_instance(rng, "sparse")
+        objective = KLObjective(matrix)
+        step(matrix.values, state, 1e-9, objective=objective)
+        assert objective._wh.base is None
+        assert objective._wh.shape == (matrix.support.index.size,)
+        assert "newton" not in vars(objective)
+
 
 def zero_product_off_the_support():
     """Positive data but for V[0, 0] = 0, with factors whose product is
@@ -653,3 +665,123 @@ class TestSlicePaths:
             assert finals["dense"][run_id] == pytest.approx(error, rel=1e-12)
         for path in ("support", "dense"):
             assert [sweeps[path, kind] for kind in ("sn", "ccd", "snmu")] == [9, 9, 1]
+
+
+def count_guards(monkeypatch):
+    """Record one entry per call of the product guard of the Newton slices."""
+    calls = []
+
+    def spy(*args, _guard=scalar_newton._positive_product):
+        calls.append(args)
+        return _guard(*args)
+    monkeypatch.setattr(scalar_newton, "_positive_product", spy)
+    return calls
+
+
+def ccd_sweeps(V, W, H, epsilon, h_first, sweeps):
+    state = SolverState.from_factors(W, H)
+    for _ in range(sweeps):
+        ccd_sweep(V, state, epsilon, h_first=h_first)
+    return state
+
+
+class TestDenseCcdBound:
+    """A dense ccd half skips the product floor and the V/WH^2 cap where
+    the per-half bound proves both identities, and runs both in every
+    slice where it fails."""
+
+    @pytest.mark.parametrize("h_first", [True, False])
+    @pytest.mark.parametrize("epsilon", [MACHINE_EPS, 1e-9])
+    @pytest.mark.parametrize("scale", [-400, 0, 400])
+    def test_sweeps_without_the_guard_are_bitwise_the_guarded_ones(
+            self, rng, monkeypatch, scale, epsilon, h_first):
+        calls = count_guards(monkeypatch)
+        for _ in range(3):
+            V, W, H = random_triple(rng, m=9, n=8, r=3)
+            V, W, H = (np.ldexp(V, scale), np.ldexp(W, scale // 2),
+                       np.ldexp(H, scale // 2))
+            assert Support(V).dense
+            proved = ccd_sweeps(V, W, H, epsilon, h_first, sweeps=3)
+            assert calls == []
+            with monkeypatch.context() as patch:
+                patch.setattr(scalar_newton, "_floor_idle",
+                              lambda *args: False)
+                guarded = ccd_sweeps(V, W, H, epsilon, h_first, sweeps=3)
+            # 3 sweeps of 2 halves of 3 rows, each updated 3 times.
+            assert len(calls) == 54
+            calls.clear()
+            for name in ("W", "H", "WH"):
+                np.testing.assert_array_equal(getattr(proved, name),
+                                              getattr(guarded, name))
+
+    def test_a_default_run_calls_no_guard(self, rng, monkeypatch):
+        matrix, r, state = workspace_instance(rng, "dense")
+        calls = count_guards(monkeypatch)
+        init = Factorization(NonnegMatrix(state.W), NonnegMatrix(state.H))
+        _, trace = run(ProblemInstance(matrix, r), init,
+                       SolverConfig("ccd", max_outer_iters=3))
+        assert trace.samples[-1].sweep == 3
+        assert calls == []
+
+    @staticmethod
+    def epsilon_zero(rng):
+        # The instance of test_ccd_floors_cache_and_continues: W @ H is 0.
+        return np.array([[1.0, 1.0]]), np.array([[0.0]]), np.array([[1.0, 1.0]]), 0.0
+
+    @staticmethod
+    def epsilon_squared_below_the_floor(rng):
+        V, W, H = random_triple(rng, m=6, n=5, r=2)
+        W[0, 0] = H[0, 0] = 1e-160
+        return V, W, H, 1e-160
+
+    @staticmethod
+    def bound_below_the_floor_alone(rng):
+        # Data near 1e-302: lo = 5e-301 is below the floor, and V / lo^2
+        # stays under 1e300, so only the floor fails the bound of the first
+        # half, either way round.
+        V, W, H = random_triple(rng, m=6, n=5, r=2)
+        V = np.ldexp(V, -1003)
+        W[0, 0] = H[0, 0] = 5e-141
+        lo = 5e-141 * 1e-160
+        assert lo < scalar_newton.CCD_PRODUCT_FLOOR and V.max() / lo / lo <= 1e300
+        return V, W, H, 1e-160
+
+    @staticmethod
+    def ratio_above_the_cap(rng):
+        # lo = min(W) * epsilon clears the floor, but V / lo^2 exceeds 1e300.
+        V, W, H = random_triple(rng, m=6, n=5, r=2)
+        V = np.ldexp(V, 900)
+        lo = W.min() * MACHINE_EPS
+        assert lo >= scalar_newton.CCD_PRODUCT_FLOOR and V.max() / lo / lo > 1e300
+        return V, W, H, MACHINE_EPS
+
+    @staticmethod
+    def negative_entry(rng):
+        # A half writes every entry of its H at epsilon or above, so each
+        # factor holds one: the half that runs second still reads one.
+        V, W, H = random_triple(rng, m=6, n=5, r=2)
+        W[0, 0] = H[1, 2] = -0.05
+        return V, W, H, MACHINE_EPS
+
+    @pytest.mark.parametrize("h_first", [True, False])
+    @pytest.mark.parametrize("case", ["epsilon_zero",
+                                      "epsilon_squared_below_the_floor",
+                                      "bound_below_the_floor_alone",
+                                      "ratio_above_the_cap", "negative_entry"])
+    def test_every_slice_is_guarded_where_the_bound_fails(
+            self, rng, monkeypatch, case, h_first):
+        V, W, H, epsilon = getattr(self, case)(rng)
+        assert Support(V).dense
+        calls, bounds = count_guards(monkeypatch), []
+
+        def bound(*args, _bound=scalar_newton._floor_idle):
+            bounds.append(_bound(*args))
+            return bounds[-1]
+        monkeypatch.setattr(scalar_newton, "_floor_idle", bound)
+        state = ccd_sweeps(V, W, H, epsilon, h_first, sweeps=1)
+        # The first half's bound fails, and a half whose bound fails guards
+        # each of its r rows 3 times.
+        assert len(bounds) == 2 and not bounds[0]
+        assert len(calls) == bounds.count(False) * W.shape[1] * 3
+        assert all(not damped for _, _, damped, _ in calls)
+        assert np.all(np.isfinite(state.W)) and np.all(np.isfinite(state.H))

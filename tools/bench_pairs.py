@@ -42,6 +42,13 @@ every pair, what identical code reads against itself, by more than the
 spread of the parent's own runs. Fewer than 10 pairs, as in the traced
 groups with one pair per traced seed, always read ``within noise``: 3 of 3
 wins is what a layer of unchanged code reads often enough.
+
+The ``control_verdict`` is the same rule applied to the control against the
+parent, with no third side: ``faster`` (``slower``) when, of at least 10
+pairs, the control wins (loses) at least 9 of 10 and its median lies
+further from the parent's than the parent's q3 - q1; otherwise ``within
+noise``. Identical code should read ``within noise`` on every metric; a
+metric that does not is one whose noise the claim rule does not cover.
 With ``--work`` every run's record is kept in that directory and a rerun
 skips the runs already recorded there.
 """
@@ -157,7 +164,8 @@ def verdict(wins: int, losses: int, pairs: int, change: float,
     noise``), the change reads better and worse than the parent in,
     ``change`` and ``control`` the ratios of their medians to the parent's,
     ``iqr`` the parent's q3 - q1 over its median, and ``sign`` is 1 where
-    lower is better, -1 where higher is."""
+    lower is better, -1 where higher is. The control's own verdict passes
+    the control as ``change`` and 1.0 as ``control``."""
     if pairs < 10 or abs(change - 1) <= max(abs(control - 1), iqr):
         return "within noise"
     if 10 * wins >= 9 * pairs and sign * (change - 1) < 0:
@@ -187,21 +195,25 @@ def compare(pairs: list[dict], better: dict[str, str]) -> dict:
         medians = {side: spread(values[side]) for side in SIDES}
         metric = {**medians,
                   "unit": pairs[0]["parent"]["summary"]["metrics"][name]["unit"]}
-        wins = {}
+        wins, losses = {}, {}
         for side in SIDES[1:]:
             wins[side] = sum(sign * (c - p) < 0
                              for p, c in zip(values["parent"], values[side]))
+            losses[side] = sum(sign * (c - p) > 0
+                               for p, c in zip(values["parent"], values[side]))
             metric[f"{side}_wins"] = f"{wins[side]}/{len(pairs)}"
             metric[f"{side}_over_parent_median"] = \
                 medians[side]["median"] / medians["parent"]["median"]
-        losses = sum(sign * (c - p) > 0
-                     for p, c in zip(values["parent"], values["change"]))
         parent = medians["parent"]
+        iqr = (parent["q3"] - parent["q1"]) / parent["median"]
+        control = metric["control_over_parent_median"]
         metric["verdict"] = verdict(
-            wins["change"], losses, len(pairs),
-            metric["change_over_parent_median"],
-            metric["control_over_parent_median"],
-            (parent["q3"] - parent["q1"]) / parent["median"], sign)
+            wins["change"], losses["change"], len(pairs),
+            metric["change_over_parent_median"], control, iqr, sign)
+        # The control against the parent, with no third side to beat.
+        metric["control_verdict"] = verdict(
+            wins["control"], losses["control"], len(pairs), control, 1.0, iqr,
+            sign)
         entry["metrics"][name] = metric
     faults = {side: [minor_faults(p[side]["result"]) for p in pairs] for side in SIDES}
     entry["minor_faults"] = {
@@ -261,7 +273,8 @@ def main(argv=None) -> int:
                       "ratio to the parent lies further from 1 than the "
                       "control's, and its median lies further from the "
                       "parent's than the parent's q3 - q1; otherwise within "
-                      "noise",
+                      "noise. control_verdict: the same rule for the control "
+                      "against the parent, with no third side",
         "machine": host,
         "workloads": workloads,
     }
@@ -286,7 +299,8 @@ def main(argv=None) -> int:
                   f"change {metric['change']['median']:.4g} "
                   f"wins {metric['change_wins']} "
                   f"control {metric['control']['median']:.4g} "
-                  f"wins {metric['control_wins']} {metric['verdict']}")
+                  f"wins {metric['control_wins']} {metric['verdict']} "
+                  f"(control {metric['control_verdict']})")
     return 0
 
 
