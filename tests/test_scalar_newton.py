@@ -11,9 +11,9 @@ import pytest
 import oracles
 from conftest import SLICE_PATHS, each_slice_path, random_triple
 from klnmf import (FULL_STEP_LAMBDA, MACHINE_EPS, Factorization,
-                   KLObjective, NonDifferentiableError, NonnegMatrix, ProblemInstance,
-                   SolverConfig, SolverState, bmd_step, ccd_sweep,
-                   kl_divergence, mu_step, scalar_newton,
+                   KLObjective, NonDifferentiableError, NonnegMatrix,
+                   ProblemInstance, SolverConfig, SolverState, bmd_step,
+                   ccd_sweep, kl_divergence, mu_step, scalar_newton,
                    self_concordant_constants, sn_sweep, sn_update_scalar,
                    snmu_step)
 from klnmf.benchmark import BenchPlan, execute
@@ -726,7 +726,8 @@ class TestDenseCcdBound:
     @staticmethod
     def epsilon_zero(rng):
         # The instance of test_ccd_floors_cache_and_continues: W @ H is 0.
-        return np.array([[1.0, 1.0]]), np.array([[0.0]]), np.array([[1.0, 1.0]]), 0.0
+        V, W, H = np.array([[1.0, 1.0]]), np.array([[0.0]]), np.ones((1, 2))
+        return V, W, H, 0.0
 
     @staticmethod
     def epsilon_squared_below_the_floor(rng):
@@ -743,7 +744,8 @@ class TestDenseCcdBound:
         V = np.ldexp(V, -1003)
         W[0, 0] = H[0, 0] = 5e-141
         lo = 5e-141 * 1e-160
-        assert lo < scalar_newton.CCD_PRODUCT_FLOOR and V.max() / lo / lo <= 1e300
+        assert lo < scalar_newton.CCD_PRODUCT_FLOOR
+        assert V.max() / lo / lo <= 1e300
         return V, W, H, 1e-160
 
     @staticmethod
@@ -752,7 +754,8 @@ class TestDenseCcdBound:
         V, W, H = random_triple(rng, m=6, n=5, r=2)
         V = np.ldexp(V, 900)
         lo = W.min() * MACHINE_EPS
-        assert lo >= scalar_newton.CCD_PRODUCT_FLOOR and V.max() / lo / lo > 1e300
+        assert lo >= scalar_newton.CCD_PRODUCT_FLOOR
+        assert V.max() / lo / lo > 1e300
         return V, W, H, MACHINE_EPS
 
     @staticmethod
