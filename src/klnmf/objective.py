@@ -292,10 +292,11 @@ class Support:
     on first use: the logarithm constants of the objective; ``vmax``, the
     largest entry of V, which dense ccd sweeps read; ``curvature``,
     the read-only curvature constants of every Newton sweep, computed from
-    V; and ``orders``, which give the Newton slices on sparse data their
-    layout and the index in V of each nonzero they read. Only sparse data
-    builds the orders: the slices on dense data read V itself, and V.T as a
-    view.
+    V; ``orders``, which give the Newton slices on sparse data their
+    layout and the index in V of each nonzero they read; and
+    ``column_major``, the same indices for a product in Fortran order. Only
+    sparse data builds the orders: the slices on dense data read V itself,
+    and V.T as a view.
 
     Nothing here is written once built and nothing is scratch, so a
     :class:`~klnmf.matrices.NonnegMatrix` builds its support once and every
@@ -361,6 +362,15 @@ class Support:
         return (_order(self.index[by_col], col_values, rows[by_col],
                        cols[by_col], self.shape[1]),
                 _order(self.index, self.values, cols, rows, self.shape[0]))
+
+    @cached_property
+    def column_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``flat`` of each of :attr:`orders` as a column-major index:
+        where a Fortran-ordered product of V's shape keeps each nonzero.
+        Built on first use, by a Newton sweep on such a product."""
+        m, n = self.shape
+        return tuple(cols * m + rows for rows, cols in
+                     (np.divmod(order.flat, n) for order in self.orders))
 
     @cached_property
     def curvature(self) -> tuple[np.ndarray, np.ndarray]:

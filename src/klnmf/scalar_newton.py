@@ -228,16 +228,21 @@ def _support_slice(order, x, colsum, c, epsilon, damped, w, wh, ratio, work,
 
 def _support_halves(objective, state, epsilon, inner_repeats, h_first,
                     damped):
-    n = objective.support.shape[1]
-    # A view of WH, or, when WH is not C-contiguous, a copy that carries the
-    # product between the halves; resync() rewrites WH after the sweep.
-    product = state.WH.reshape(-1)
+    support = objective.support
+    n = support.shape[1]
+    # WH in its own memory order, indexed so: a view, also of the Fortran-
+    # ordered WH of a state made by SolverState.T, and a copy only of a WH
+    # in neither order, which carries the product between the halves until
+    # resync() rewrites WH after the sweep.
+    fortran = state.WH.flags.f_contiguous and not state.WH.flags.c_contiguous
+    product = (state.WH.T if fortran else state.WH).reshape(-1)
     for half in state.halves(h_first):
         order, c, scratch, (wh, ratio, work, w) = objective.newton[half.transposed]
+        flat = support.column_major[half.transposed] if fortran else order.flat
         # The indices are in range by construction, and take(out=) with the
         # default mode="raise" would buffer a fresh copy of its output on
         # every call.
-        np.take(product, order.flat, out=wh, mode="clip")
+        np.take(product, flat, out=wh, mode="clip")
         entry = lambda p: divmod(int(order.flat[p]), n)  # noqa: E731
         for k in range(half.H.shape[0]):
             np.take(half.W[:, k], order.rows, out=w, mode="clip")
@@ -246,7 +251,7 @@ def _support_halves(objective, state, epsilon, inner_repeats, h_first,
                 _positive_product(order.values, wh, damped, entry)
                 _support_slice(order, x, colsum, c, epsilon, damped, w, wh,
                                ratio, work, scratch)
-        product[order.flat] = wh
+        product[flat] = wh
         half.H.sum(axis=1, out=half.row_sums_H)
 
 

@@ -143,6 +143,16 @@ class TestSolve:
         assert code == 2
         assert "nope.csv" in stderr
 
+    def test_binary_matrix_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(bytes.fromhex("fffe312c320a"))
+        code, _, stderr = run_cli(
+            capsys, "solve", "--matrix", str(path), "--rank", "1",
+            "--solver", "mu")
+        assert code == 2
+        assert stderr.startswith(f"error: cannot read matrix {path}")
+        assert "Traceback" not in stderr
+
     def test_solver_failure_exits_three(self, tmp_path, capsys):
         # rank exceeding the data dimensions is a solver-level failure? No:
         # it is a usage error; a data column of zeros with bmd stays fine, so

@@ -508,6 +508,38 @@ class TestWorkspace:
         assert peaks[0] < 1.5 * m * n * 8, peaks
         assert peaks[1] < nnz * 8, peaks
 
+    @pytest.mark.parametrize("kind", ["sn", "ccd"])
+    def test_transposed_state_sweeps_without_copying_the_product(self, rng,
+                                                                 kind):
+        # The W half's state carries WH.T, which is Fortran-ordered. A
+        # sparse sweep indexes it in that order: after a warm-up it makes
+        # no copy of the product, and it updates the factors bitwise as on
+        # a C-ordered copy of the same state.
+        import tracemalloc
+        m, n = 200, 150
+        V = rng.uniform(1.0, 2.0, (m, n)) * (rng.uniform(size=(m, n)) < 0.1)
+        state = SolverState.from_factors(rng.uniform(0.2, 1.0, (m, 3)),
+                                         rng.uniform(0.2, 1.0, (3, n)))
+        copy = SolverState.from_factors(state.H.T, state.W.T)
+        copy.WH[...] = state.WH.T
+        objective = KLObjective(V.T)
+        assert not objective.support.dense
+        assert state.T.WH.flags.f_contiguous and not state.T.WH.flags.c_contiguous
+        sweep = self.STEPS[kind]
+        sweep(V.T, copy, 1e-9, objective=objective)
+        sweep(V.T, state.T, 1e-9, objective=objective)
+        for got, want in ((state.H.T, copy.W), (state.W.T, copy.H)):
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
+        np.testing.assert_allclose(state.WH.T, copy.WH, rtol=1e-13)
+        tracemalloc.start()
+        try:
+            sweep(V.T, state.T, 1e-9, objective=objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < objective.support.index.size * 8, peak
+
     @pytest.mark.parametrize("make", ["dense", "sparse"])
     @pytest.mark.parametrize("kind", ["sn", "snmu", "ccd"])
     def test_run_builds_the_workspace_before_the_first_sweep(
