@@ -230,10 +230,10 @@ def _support_halves(objective, state, epsilon, inner_repeats, h_first,
                     damped):
     support = objective.support
     n = support.shape[1]
-    # WH in its own memory order, indexed so: a view, also of the Fortran-
-    # ordered WH of a state made by SolverState.T, and a copy only of a WH
-    # in neither order, which carries the product between the halves until
-    # resync() rewrites WH after the sweep.
+    # WH read flat in its own memory order, with each nonzero's index in
+    # that order: a state made by SolverState.T carries a Fortran-ordered
+    # WH. Only a WH in neither order is copied; the copy carries the
+    # product between the halves until resync() rewrites WH.
     fortran = state.WH.flags.f_contiguous and not state.WH.flags.c_contiguous
     product = (state.WH.T if fortran else state.WH).reshape(-1)
     for half in state.halves(h_first):
