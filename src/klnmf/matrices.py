@@ -37,6 +37,19 @@ class NonnegMatrix:
     def __post_init__(self):
         object.__setattr__(self, "values", _validated_array(self.values))
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> "NonnegMatrix":
+        """A matrix that takes over ``values``, a 2-D array whose entries
+        its maker has checked finite and nonnegative and of which it keeps
+        no other reference, as a file reader does: no copy and no second
+        scan. Only an array that is not C-contiguous float64 owning its
+        data is copied into one."""
+        values = np.require(values, np.float64, ("C", "O"))
+        values.flags.writeable = False
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "values", values)
+        return matrix
+
     @property
     def rows(self) -> int:
         return self.values.shape[0]

@@ -83,9 +83,10 @@ def load_matrix(path) -> NonnegMatrix:
     except UnicodeDecodeError as exc:
         raise MatrixFileError(
             f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+    # The parsed array is new and checked: the matrix takes it over.
     if text.startswith(_MM_BANNER):
-        return NonnegMatrix(_load_mm(path, text))
-    return NonnegMatrix(_load_csv(path, text))
+        return NonnegMatrix._adopt(_load_mm(path, text))
+    return NonnegMatrix._adopt(_load_csv(path, text))
 
 
 def _save_mm_array(arr: np.ndarray, path) -> None:

@@ -20,7 +20,13 @@ on first use, and every run and thread shares it; the scratch is the run's
 own, so one object must not be shared across threads.
 A half builds its denominators in place in the one r×n array that its
 gradient product returns; only a half with empty data columns allocates
-anything more, a mask of them.
+anything more, the complement of their mask. Which columns are empty is a
+fact about the data: the support's ``live`` holds it, built once.
+
+In a run, the objective's ``product_bound`` is epsilon * epsilon (see
+``run()``). Where it is positive the product is positive, and the ratio
+skips its scans of it; at 0.0, as in a step that builds its own objective,
+they run.
 """
 from __future__ import annotations
 
@@ -31,11 +37,12 @@ from .objective import KLObjective, support_ratio
 from .state import SolverState
 
 
-def _bmd_half(ratio, L, state, epsilon):
+def _bmd_half(ratio, L, live, state, epsilon):
     """Mirror step of every column of state.H, its row sums and the product.
 
     ``ratio`` (V / WH) and ``L`` (the data column 1-norms) are in the state's
-    orientation. Columns with L == 0 are set to epsilon.
+    orientation; ``live`` is None when every entry of L is positive, else
+    the mask of those that are. Columns with L == 0 are set to epsilon.
     """
     W, H = state.W, state.H
     # The denominator 1 + H*G/L, built in place in the buffer the product of
@@ -43,11 +50,9 @@ def _bmd_half(ratio, L, state, epsilon):
     denom = W.T @ ratio
     np.subtract(state.col_sums_W[:, None], denom, out=denom)
     denom *= H
-    live = None
-    if L.min() > 0:
+    if live is None:
         denom /= L
     else:
-        live = L > 0
         np.divide(denom, L, out=denom, where=live)
         denom[:, ~live] = 0.0
     denom += 1.0
@@ -80,7 +85,8 @@ def bmd_update_column(v, W, h, L, epsilon) -> np.ndarray:
         )
     state = SolverState.from_factors(W, np.reshape(h, (-1, 1)))
     v = np.asarray(v, dtype=np.float64).reshape(-1, 1)
-    _bmd_half(support_ratio(v, state.WH), np.full(1, float(L)), state, epsilon)
+    _bmd_half(support_ratio(v, state.WH), np.full(1, float(L)), None, state,
+              epsilon)
     return state.H.reshape(-1)
 
 
@@ -92,11 +98,14 @@ def bmd_step(V, state, epsilon, h_first: bool = True,
     directly: only the linear term remains there, so any feasible value is
     optimal and the choice is deterministic. The objective never increases.
     ``objective`` is the :class:`KLObjective` of V, built here when absent;
-    a run passes its own, and the step constants are its support's sums.
+    a run passes its own. The step constants are its support's sums, and
+    which of them are positive its support's ``live``.
     """
     if objective is None:
         objective = KLObjective(V)
+    support = objective.support
     for half in state.halves(h_first):
         _bmd_half(half.oriented(support_ratio(V, state.WH, objective)),
-                  objective.support.sums[half.transposed], half, epsilon)
+                  support.sums[half.transposed], support.live[half.transposed],
+                  half, epsilon)
     return state

@@ -15,6 +15,12 @@ sparse data makes no elementwise pass over the zeros of V, and no sweep
 allocates an m×n temporary. A :class:`~klnmf.matrices.NonnegMatrix` builds
 its support once, on first use, and every run and thread shares it; the
 scratch is the run's own, so one object must not be shared across threads.
+
+In a run, the objective's ``product_bound`` is epsilon * epsilon (see
+``run()``). Where it is positive, every entry of W is at least epsilon > 0,
+so no column of W sums to zero, and the product is positive: a half skips
+the zero-locking check and the ratio skips its scans of the product. At
+0.0, as in a step that builds its own objective, every check runs.
 """
 from __future__ import annotations
 
@@ -35,10 +41,11 @@ _ZERO_LOCKING = (
 )
 
 
-def _mu_half(ratio, state, epsilon):
+def _mu_half(ratio, state, epsilon, bounded=False):
     """Update state.H, its row sums and the product in place; ``ratio`` is
-    V / WH in the state's orientation."""
-    if state.col_sums_W.min() <= 0:
+    V / WH in the state's orientation. With ``bounded``, every entry of W
+    is known to be positive and the zero-locking check is skipped."""
+    if not bounded and state.col_sums_W.min() <= 0:
         k = np.flatnonzero(state.col_sums_W <= 0)[0]
         raise DegenerateInputError(_ZERO_LOCKING[state.transposed].format(k))
     H = state.H
@@ -73,13 +80,15 @@ def mu_step(V, state, epsilon, h_first: bool = True,
     drift). The objective never increases. At epsilon = 0 the update of H
     makes the product match the column sums of the data exactly, and the
     update of W its row sums. ``objective`` is the :class:`KLObjective` of
-    V, built here when absent; a run passes its own.
+    V, built here when absent; a run passes its own, whose
+    ``product_bound`` lets it skip the scans that bound makes idle.
     """
     if objective is None:
         objective = KLObjective(V)
+    bounded = objective.product_bound > 0
     for half in state.halves(h_first):
         _mu_half(half.oriented(support_ratio(V, state.WH, objective)), half,
-                 epsilon)
+                 epsilon, bounded)
     return state
 
 

@@ -132,14 +132,17 @@ def support_ratio(V: np.ndarray, WH: np.ndarray,
     whole matrix into its ``work``, where 0 / WH is exactly +0.0; otherwise
     only the support of its ``ratio`` is read and written. Both ways divide
     each nonzero of V by the same product entry, so they give the same bits.
+    Where the objective's ``product_bound`` is positive, WH is positive by
+    proof and neither way scans it; at 0.0 both do.
     """
     if objective is None:
         objective = KLObjective(V)
     support = objective.support
-    if support.whole_matrix(WH):
+    bound = objective.product_bound
+    if support.whole_matrix(WH, bound):
         return np.divide(support.V, WH, out=objective.work)
     wh = objective.gather(WH)
-    if wh.size and wh.min() <= 0:
+    if not bound > 0 and wh.size and wh.min() <= 0:
         raise NonDifferentiableError.at(
             *divmod(int(support.index[np.argmax(wh <= 0)]), support.shape[1]))
     np.divide(support.values, wh, out=wh)
@@ -289,7 +292,8 @@ class Support:
     ``dense`` says whether the data is dense (see ``DENSE_DENSITY``): then
     the ratio, the log pass of the objective and the Newton slices run over
     the whole matrix, the first two where :meth:`whole_matrix` allows. Built
-    on first use: the logarithm constants of the objective; ``vmax``, the
+    on first use: the logarithm constants of the objective; ``live``, which
+    rows and columns of V have data, which mirror steps read; ``vmax``, the
     largest entry of V, which dense ccd sweeps read; ``curvature``,
     the read-only curvature constants of every Newton sweep, computed from
     V; ``orders``, which give the Newton slices on sparse data their
@@ -336,12 +340,27 @@ class Support:
     def degenerate_normalizer(self) -> bool:
         return abs(self.normalizer) <= NORMALIZER_FLOOR * float(self.values.sum())
 
-    def whole_matrix(self, WH: np.ndarray) -> bool:
+    def whole_matrix(self, WH: np.ndarray, bound: float) -> bool:
         """Whether a pass over the product ``WH`` may run over the whole
         matrix: on dense data, with a product of V's shape that is positive
-        everywhere (its min() is NaN, and so not positive, if it has a
-        NaN)."""
-        return self.dense and WH.shape == self.shape and WH.min() > 0
+        everywhere. A positive ``bound``, a lower bound on every entry of
+        WH (see :attr:`KLObjective.product_bound`), proves that without a
+        scan; at 0.0 the product's min() decides, which is NaN, and so not
+        positive, if it has a NaN."""
+        return (self.dense and WH.shape == self.shape
+                and (bound > 0 or WH.min() > 0))
+
+    @cached_property
+    def live(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Which columns and which rows of V have data, indexed by
+        ``SolverState.transposed``: None where every one has, else the mask
+        of those whose sum is positive. The mirror step divides by those
+        sums, and whether one is 0 is a fact about the data."""
+        live = tuple(None if s.min() > 0 else s > 0 for s in self.sums)
+        for mask in live:
+            if mask is not None:
+                mask.flags.writeable = False
+        return live
 
     @cached_property
     def vmax(self) -> float:
@@ -418,7 +437,17 @@ class KLObjective:
     fresh temporary of size nnz or m·n, a returned ratio is overwritten by
     the next call, and one object must not be shared across threads; each
     run makes its own.
+
+    ``product_bound`` is a lower bound on every entry of every product
+    the object is given, 0.0 unless ``run()`` sets it (see its docstring):
+    every factor entry of a run is at least epsilon, so every term of a
+    product, and with it every entry, is at least epsilon * epsilon. Where
+    it is positive, :func:`support_ratio` and :meth:`of_product` take the
+    product as positive without scanning it for a zero; at 0.0, as on an
+    object a step builds for itself, every pass scans.
     """
+
+    product_bound = 0.0
 
     def __init__(self, V):
         self.support = support_of(V)
@@ -492,17 +521,22 @@ class KLObjective:
         whole product, taken into ``work``, where each zero of V adds an
         exact zero; otherwise of the nonzeros of V with the logarithm of the
         product gathered there, and a zero among those makes the objective
-        infinite. The two ways agree to rounding. Once the scratch exists, a
+        infinite. The two ways agree to rounding. A positive
+        :attr:`product_bound` proves the product positive, and neither way
+        then scans it for a zero; at 0.0 both do. A NaN in the factors
+        makes the linear term NaN, which :meth:`ExtendedObjective.finite`
+        rejects with a ValueError on either way. Once the scratch exists, a
         call on C-contiguous data, as every :class:`NonnegMatrix` holds,
         allocates nothing of size nnz or m·n.
         """
         support = self.support
-        if support.whole_matrix(WH):
+        bound = self.product_bound
+        if support.whole_matrix(WH, bound):
             logs = np.log(WH, out=self.work)
             log_term = float(support.V.reshape(-1) @ logs.reshape(-1))
         else:
             wh = self.gather(WH)
-            if wh.size and float(wh.min()) <= 0.0:
+            if not bound > 0 and wh.size and float(wh.min()) <= 0.0:
                 return ExtendedObjective.infinite()
             log_term = float(support.values @ np.log(wh, out=wh)) if wh.size else 0.0
         linear = float(WH.sum()) if sums is None else float(sums[0] @ sums[1])

@@ -149,6 +149,15 @@ def _make_stepper(config: SolverConfig, matrix: NonnegMatrix,
     return steps[config.kind]
 
 
+def _product_bound(epsilon: float) -> float:
+    """A lower bound on every entry of every product of a run whose factor
+    entries are all at least ``epsilon``: each term of a GEMM product is
+    then at least the rounded epsilon * epsilon, and a rounded sum of
+    nonnegative terms is never below its largest term. Computed in Python
+    floats; 0.0 at epsilon 0 and where the square underflows."""
+    return float(epsilon) * float(epsilon)
+
+
 def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
         run_id: str = "run", matrix_id: str = "", init_id: str = "",
         ) -> tuple[Factorization, RunTrace]:
@@ -165,6 +174,16 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
     the initial one is stamped at the end of its sweep, before the stopping
     checks. Returns the best-objective iterate seen, which for the monotone
     kinds is the last one.
+
+    After the clamp every factor entry is at least epsilon, and no step of
+    any kind writes one below it, so every product the run forms is at
+    least lo = epsilon * epsilon (:func:`_product_bound`). The run states
+    lo once, as the ``product_bound`` of its :class:`KLObjective`. Where lo
+    is positive, the ratio and the objective skip their scans of the
+    product, which cannot find a zero, and MU its zero-locking check; the
+    iterates, the trace and any failure are the same as with the scans, bit
+    for bit. At lo = 0.0 (epsilon 0, or an epsilon whose square
+    underflows) every scan runs.
     """
     if init.W.shape != (instance.V.rows, instance.rank) or \
             init.H.shape != (instance.rank, instance.V.cols):
@@ -187,6 +206,7 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
             "convergence guarantee; use a positive epsilon", stacklevel=2)
 
     objective = KLObjective(instance.V)
+    objective.product_bound = _product_bound(epsilon)
     obj = objective.of_product(state.WH, (state.col_sums_W, state.row_sums_H))
     if not obj.is_finite:
         raise SolverInitError(

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,6 +35,58 @@ class TestRoundTrips:
         path = tmp_path / "m.mtx"
         save_matrix(NonnegMatrix(np.ones((2, 2))), path)
         assert load_matrix(path).shape == (2, 2)
+
+
+def write_coordinate(path, M):
+    rows, cols = np.nonzero(M)
+    with open(path, "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate real general\n")
+        fh.write(f"{M.shape[0]} {M.shape[1]} {rows.size}\n")
+        for i, j in zip(rows, cols):
+            fh.write(f"{i + 1} {j + 1} {M[i, j]:.17g}\n")
+
+
+class TestLoadedArrays:
+    def test_a_load_allocates_the_matrix_once(self, tmp_path):
+        # The matrix takes over the array the reader parsed: no second m×n
+        # copy. Sized as klbench's sparse-counts file, 600x400 with 10 446
+        # entries.
+        m, n = 600, 400
+        rng = np.random.default_rng(7)
+        M = np.zeros(m * n)
+        M[rng.choice(m * n, 10446, replace=False)] = rng.integers(1, 9, 10446)
+        M = M.reshape(m, n)
+        path = tmp_path / "counts.mtx"
+        write_coordinate(path, M)
+        load_matrix(path)
+        tracemalloc.start()
+        try:
+            loaded = load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m * n * 8
+        np.testing.assert_array_equal(loaded.values.view(np.uint64),
+                                      M.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 5), (5, 1)])
+    @pytest.mark.parametrize("layout", ["coordinate", "matrixmarket", "csv"])
+    def test_loaded_arrays_are_read_only_and_own_their_data(
+            self, tmp_path, rng, shape, layout):
+        # One-row and one-column array-layout files parse into views, which
+        # the matrix copies.
+        M = rng.uniform(0.0, 5.0, size=shape)
+        M[0, 0] = 0.0
+        path = tmp_path / "m.txt"
+        if layout == "coordinate":
+            write_coordinate(path, M)
+        else:
+            save_matrix(M, path, format=layout)
+        values = load_matrix(path).values
+        assert values.flags.owndata and not values.flags.writeable
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        np.testing.assert_array_equal(values.view(np.uint64),
+                                      M.view(np.uint64))
 
 
 class TestCoordinateLoading:
