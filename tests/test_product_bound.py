@@ -6,6 +6,7 @@ the ratio and objective passes skip their scans of the product for a zero.
 The tests below count those scans, show that the skip changes no bit and
 no failure, and check the invariant behind the bound on drawn problems.
 """
+import contextlib
 import warnings
 
 import numpy as np
@@ -115,22 +116,31 @@ def test_bmd_reads_data_column_positivity_from_the_support():
         [j != 4 for j in range(7)], [i != 2 for i in range(9)]]
 
 
-def outcome(instance, init, config):
-    """What a run gives, without its timestamps, and the sweeps it made:
-    final factors, trace values and sweep indices, or the error raised."""
-    sweeps = []
+@contextlib.contextmanager
+def after_each_sweep(check):
+    """Make every run in the block call ``check(state)`` after each sweep."""
     make = solver._make_stepper
 
     def stepper(*args):
         step = make(*args)
 
-        def counted(state):
+        def checked(state):
             step(state)
-            sweeps.append(1)
-        return counted
+            check(state)
+        return checked
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_make_stepper", stepper)
+        yield
+
+
+def outcome(instance, init, config):
+    """What a run gives, without its timestamps, and the sweeps it made:
+    final factors, trace values and sweep indices, or the error raised."""
+    sweeps = []
+    with after_each_sweep(sweeps.append), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "initialization clamped",
+                                UserWarning)
         try:
             factors, trace = run(instance, init, config)
         except (ValueError, RuntimeError, RuntimeWarning) as exc:
@@ -170,25 +180,17 @@ def test_nan_factors_fail_at_the_same_sweep_with_or_without_the_bound():
     # Under tier-1's warning filter both raise the same overflow warning.
     assert outcome(instance, init, config) == unbounded(instance, init, config)
     nan_sweeps = []
-    make = solver._make_stepper
 
-    def stepper(*args):
-        step = make(*args)
-
-        def watched(state):
-            step(state)
-            nan_sweeps.append(bool(np.isnan(state.W).any()
-                                   or np.isnan(state.H).any()))
-        return watched
+    def has_nan(state):
+        nan_sweeps.append(bool(np.isnan(state.W).any()
+                               or np.isnan(state.H).any()))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         failure = outcome(instance, init, config)
         assert failure == unbounded(instance, init, config)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_make_stepper", stepper)
-            with pytest.raises(ValueError, match="got nan"):
-                run(instance, init, config)
+        with after_each_sweep(has_nan), pytest.raises(ValueError):
+            run(instance, init, config)
     assert failure == ((ValueError, "finite objective required, got nan"), 1)
     assert nan_sweeps == [True]
 
@@ -223,27 +225,15 @@ def test_every_kind_keeps_its_factors_at_or_above_epsilon(problem):
     # The invariant behind the bound, after every sweep. A NaN is not below
     # epsilon; the NaN test above shows what the bound does with one.
     instance, init, epsilon = problem
-    make = solver._make_stepper
 
-    def stepper(*args):
-        step = make(*args)
+    def check(state):
+        assert not (state.W < epsilon).any()
+        assert not (state.H < epsilon).any()
 
-        def checked(state):
-            step(state)
-            assert not (state.W < epsilon).any()
-            assert not (state.H < epsilon).any()
-        return checked
-
-    for kind in SOLVER_KINDS:
-        config = SolverConfig(kind=kind, epsilon=epsilon, max_outer_iters=4)
-        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "initialization clamped",
-                                    UserWarning)
-            mp.setattr(solver, "_make_stepper", stepper)
-            try:
-                run(instance, init, config)
-            except (ValueError, RuntimeError, RuntimeWarning):
-                pass
+    with after_each_sweep(check):
+        for kind in SOLVER_KINDS:
+            outcome(instance, init, SolverConfig(kind=kind, epsilon=epsilon,
+                                                 max_outer_iters=4))
 
 
 @SETTINGS
@@ -252,8 +242,5 @@ def test_the_bound_changes_no_bit(problem):
     instance, init, epsilon = problem
     for kind in SOLVER_KINDS:
         config = SolverConfig(kind=kind, epsilon=epsilon, max_outer_iters=4)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "initialization clamped",
-                                    UserWarning)
-            assert outcome(instance, init, config) == \
-                unbounded(instance, init, config)
+        assert outcome(instance, init, config) == \
+            unbounded(instance, init, config)
