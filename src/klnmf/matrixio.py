@@ -151,16 +151,19 @@ def _load_mm(path, text: str) -> np.ndarray:
     if m < 1 or n < 1:
         raise MatrixFileError(f"{path}:{size_lineno}: dimensions must be positive")
 
-    body = text[size.end() + 1:]
+    # The entries are parsed from the text itself, past the size line, so
+    # that no copy of them lives through the parse.
+    start = size.end() + 1
     out = None
-    if "%" not in body or not _TRAILING_COMMENT.search(body):
+    if text.find("%", start) < 0 or not _TRAILING_COMMENT.search(text, start):
         if layout == "coordinate":
-            parsed = _parse(body, dtype=_COORDINATE, comments="%", ndmin=1)
+            parsed = _parse(text, skiprows=size_lineno, dtype=_COORDINATE,
+                            comments="%", ndmin=1)
             if parsed is not None and parsed.size == nnz:
                 out = _densify(parsed, m, n)
         else:
             # ndmin=2 keeps one line of two values from reading as two entries.
-            parsed = _parse(body, comments="%", ndmin=2)
+            parsed = _parse(text, skiprows=size_lineno, comments="%", ndmin=2)
             if parsed is not None and parsed.shape == (nnz, 1):
                 out = _unstack(parsed, m, n)
     if out is None:

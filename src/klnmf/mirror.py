@@ -24,9 +24,9 @@ anything more, the complement of their mask. Which columns are empty is a
 fact about the data: the support's ``live`` holds it, built once.
 
 In a run, the objective's ``product_bound`` is epsilon * epsilon (see
-``run()``). Where it is positive the product is positive, and the ratio
-skips its scans of it; at 0.0, as in a step that builds its own objective,
-they run.
+:attr:`~klnmf.objective.KLObjective.product_bound`). Where it is positive
+the product is positive, and the ratio skips its scans of it; at 0.0, as
+in a step that builds its own objective, they run.
 """
 from __future__ import annotations
 

@@ -17,10 +17,11 @@ its support once, on first use, and every run and thread shares it; the
 scratch is the run's own, so one object must not be shared across threads.
 
 In a run, the objective's ``product_bound`` is epsilon * epsilon (see
-``run()``). Where it is positive, every entry of W is at least epsilon > 0,
-so no column of W sums to zero, and the product is positive: a half skips
-the zero-locking check and the ratio skips its scans of the product. At
-0.0, as in a step that builds its own objective, every check runs.
+:attr:`~klnmf.objective.KLObjective.product_bound`). Where it is positive,
+every entry of W is at least epsilon > 0, so no column of W sums to zero,
+and the product is positive: a half skips the zero-locking check and the
+ratio skips its scans of the product. At 0.0, as in a step that builds its
+own objective, every check runs.
 """
 from __future__ import annotations
 

@@ -294,7 +294,8 @@ class Support:
     the whole matrix, the first two where :meth:`whole_matrix` allows. Built
     on first use: the logarithm constants of the objective; ``live``, which
     rows and columns of V have data, which mirror steps read; ``vmax``, the
-    largest entry of V, which dense ccd sweeps read; ``curvature``,
+    largest entry of V, which dense ccd sweeps read with the product bound;
+    ``curvature``,
     the read-only curvature constants of every Newton sweep, computed from
     V; ``orders``, which give the Newton slices on sparse data their
     layout and the index in V of each nonzero they read; and
@@ -364,9 +365,9 @@ class Support:
 
     @cached_property
     def vmax(self) -> float:
-        """The largest entry of V (0.0 without data): with the factors, it
-        bounds V/WH^2 in a dense ccd half (see
-        :func:`~klnmf.scalar_newton._floor_idle`)."""
+        """The largest entry of V (0.0 without data): with the product
+        bound (:attr:`KLObjective.product_bound`), it bounds V/WH^2 in a
+        dense ccd sweep."""
         return float(self.values.max(initial=0.0))
 
     @cached_property
@@ -437,16 +438,23 @@ class KLObjective:
     fresh temporary of size nnz or m·n, a returned ratio is overwritten by
     the next call, and one object must not be shared across threads; each
     run makes its own.
-
-    ``product_bound`` is a lower bound on every entry of every product
-    the object is given, 0.0 unless ``run()`` sets it (see its docstring):
-    every factor entry of a run is at least epsilon, so every term of a
-    product, and with it every entry, is at least epsilon * epsilon. Where
-    it is positive, :func:`support_ratio` and :meth:`of_product` take the
-    product as positive without scanning it for a zero; at 0.0, as on an
-    object a step builds for itself, every pass scans.
     """
 
+    #: A lower bound on every entry of every product the object is given:
+    #: 0.0 unless ``run()`` sets epsilon * epsilon (Python floats; 0.0 at
+    #: epsilon 0 and where the square underflows). After the run's clamp
+    #: every factor entry is at least epsilon and no step writes one below
+    #: it, so every term of a GEMM product is at least the rounded
+    #: epsilon * epsilon, and a rounded sum of nonnegative terms is never
+    #: below its largest term. A product adjusted incrementally, as on the
+    #: sparse Newton path, is no such sum and is never held to it. Where
+    #: it is positive, :func:`support_ratio` and :meth:`of_product` skip
+    #: their scans for a zero, the MU half its zero-locking check and a
+    #: dense Newton sweep the guards it proves identities (see
+    #: :mod:`klnmf.scalar_newton`), bitwise. At 0.0, as on an object that a
+    #: step or a sweep builds for itself, every check runs. It bounds the
+    #: product, not epsilon, so that bounds per factor enter as their
+    #: product.
     product_bound = 0.0
 
     def __init__(self, V):

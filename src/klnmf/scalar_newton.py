@@ -66,14 +66,14 @@ product; sn raises at the caller's (i, j) where it is 0 and V is positive,
 and sets it to +inf where both are 0 (at epsilon 0, W @ H can be exactly 0
 where V is), which divides 0 to 0, so a slice never computes 0 / 0. The
 product recomputed after a dense slice is 0 there again, and the next
-slice's guard parks it anew. sn guards every slice, and so does ccd on
-sparse data, whose product is adjusted incrementally. A dense ccd half
-floors the product, and caps V/WH^2 at 1e300, only where
-:func:`_floor_idle` cannot prove both passes identities before the half's
-first slice: a product recomputed by GEMM is a rounded sum of nonnegative
-terms, never below its largest one, and a ccd slice writes no entry of H
-below epsilon, so min(W) * min(min(H), epsilon) bounds every entry of the
-half's products from below.
+slice's guard parks it anew. On sparse data every slice is guarded, since
+the product there is adjusted incrementally. On dense data the sweep reads
+the objective's :attr:`~klnmf.objective.KLObjective.product_bound`, which
+bounds every entry of every product from below, and skips the guard, and
+ccd's cap of V/WH^2 at 1e300, where that bound proves them identities: for
+sn a positive bound, for ccd one at or above the floor with max(V)/bound^2
+under the cap. Only ``run()`` sets the bound, so a sweep called on its own
+guards every slice.
 
 On either path a slice writes only into this scratch, H and the product,
 and makes about twenty NumPy calls. Only a slice with a damped step, or
@@ -98,8 +98,8 @@ FULL_STEP_LAMBDA = 0.683802
 #: Floor applied to the cached product by the plain cyclic variant so that
 #: it is never zero or below where a slice divides by it: incremental
 #: updates on sparse data can drive it there, and on dense data it is
-#: exactly 0 where every term of W @ H is. A dense half skips it when
-#: :func:`_floor_idle` proves that no entry of the product is below it.
+#: exactly 0 where every term of W @ H is. A dense sweep skips it where the
+#: objective's ``product_bound`` is at or above it.
 CCD_PRODUCT_FLOOR = 1e-300
 
 
@@ -173,8 +173,9 @@ def _positive_product(values, wh, damped, entry):
     """Guard ``wh``, the product at the entries whose data is ``values``,
     in place: the plain cyclic variant (not ``damped``) floors it at
     ``CCD_PRODUCT_FLOOR``; otherwise a zero where the data is positive
-    raises at ``entry(position)``, the caller's (i, j). A dense ccd half
-    calls it only where :func:`_floor_idle` fails."""
+    raises at ``entry(position)``, the caller's (i, j). A dense sweep
+    calls it only where the objective's ``product_bound`` does not prove it
+    an identity (see :func:`_dense_halves`)."""
     if not damped:
         np.maximum(wh, CCD_PRODUCT_FLOOR, out=wh)
     elif wh.size and not wh.min() > 0:
@@ -267,10 +268,10 @@ def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, capped, w, ww,
     x; ``scratch`` holds f1, f2, s, lam and step, one entry per entry of x.
     The caller keeps ``WH`` positive (see :func:`_positive_product`). With
     ``capped``, where ccd floors the product, V/WH^2 is capped at 1e300 as
-    on the support path; a ccd half that :func:`_floor_idle` proves
-    neither floor nor cap can touch runs without both. An entry without
-    data has f1 = colsum and f2 = 0, so the flat rule sets it as the
-    support path does.
+    on the support path; a ccd sweep whose product bound proves that
+    neither floor nor cap can touch the product runs without both. An
+    entry without data has f1 = colsum and f2 = 0, so the flat rule sets it
+    as the support path does.
     """
     f1, f2, s, lam, step = scratch
     np.divide(V, WH, out=R)
@@ -287,42 +288,28 @@ def _dense_slice(V, WH, R, x, colsum, c, epsilon, damped, capped, w, ww,
     np.copyto(x, s)
 
 
-def _floor_idle(W, H, epsilon, vmax) -> bool:
-    """Whether no undamped slice of a dense half with factors ``W`` and
-    ``H`` can meet a product below ``CCD_PRODUCT_FLOOR`` or a V/WH^2 above
-    1e300, where ``vmax`` is the largest entry of V; then the floor and
-    the cap of the half are identities.
-
-    No slice of the half changes W, and every entry it writes is at least
-    epsilon or left as it was (see :func:`_newton_targets`), so every term
-    of the recomputed product is at least lo = min(W) * min(H, epsilon),
-    and so is every entry, a rounded sum of nonnegative terms. The bound
-    is computed in Python floats, where an overflow reads inf; H.min()
-    comes first in min() so that a NaN in H fails it.
-    """
-    w_min, h_min = float(W.min()), min(float(H.min()), epsilon)
-    lo = w_min * h_min
-    return (w_min > 0 and h_min > 0 and lo >= CCD_PRODUCT_FLOOR
-            and vmax / lo / lo <= 1e300)
-
-
 def _dense_halves(objective, state, epsilon, inner_repeats, h_first, damped):
+    # The bound test of the module docstring, in Python floats, where an
+    # overflow reads inf.
+    bound = objective.product_bound
+    guarded = not (bound > 0 if damped else
+                   bound >= CCD_PRODUCT_FLOOR
+                   and objective.support.vmax / bound / bound <= 1e300)
+    capped = guarded and not damped
     for half in state.halves(h_first):
         V, R, c, w, ww, scratch = objective.newton[half.transposed]
         # A position in the W half's V.T is one in V in F order.
         entry = partial(np.unravel_index, shape=objective.support.shape,
                         order="F" if half.transposed else "C")
-        floored = not damped and not _floor_idle(
-            half.W, half.H, epsilon, objective.support.vmax)
         for k in range(half.H.shape[0]):
             np.copyto(w, half.W[:, k])
             np.multiply(w, w, out=ww)
             x, colsum = half.H[k], half.col_sums_W[k]
             for _ in range(inner_repeats):
-                if damped or floored:
+                if guarded:
                     _positive_product(V, half.WH, damped, entry)
                 _dense_slice(V, half.WH, R, x, colsum, c, epsilon, damped,
-                             floored, w, ww, scratch)
+                             capped, w, ww, scratch)
                 np.matmul(half.W, half.H, out=half.WH)
         half.H.sum(axis=1, out=half.row_sums_H)
 
@@ -360,8 +347,9 @@ def ccd_sweep(V, state, epsilon, inner_repeats: int = 3, h_first: bool = True,
     The cached product, adjusted or recomputed after every slice as in
     :func:`sn_sweep`, is floored at CCD_PRODUCT_FLOOR before each slice so
     a product that reaches 0 can never produce NaN derivatives. On dense
-    data a half floors it, and caps V/WH^2, only where the bound of
-    :func:`_floor_idle` fails; elsewhere neither pass can change a bit.
+    data it floors the product, and caps V/WH^2, only where the
+    objective's ``product_bound`` does not prove both passes identities;
+    elsewhere neither pass can change a bit.
     The objective may increase; callers track it rather than asserting
     monotonicity.
     """

@@ -150,11 +150,9 @@ def _make_stepper(config: SolverConfig, matrix: NonnegMatrix,
 
 
 def _product_bound(epsilon: float) -> float:
-    """A lower bound on every entry of every product of a run whose factor
-    entries are all at least ``epsilon``: each term of a GEMM product is
-    then at least the rounded epsilon * epsilon, and a rounded sum of
-    nonnegative terms is never below its largest term. Computed in Python
-    floats; 0.0 at epsilon 0 and where the square underflows."""
+    """The product bound of a run at ``epsilon`` (see
+    :attr:`KLObjective.product_bound`): epsilon * epsilon in Python floats,
+    0.0 at epsilon 0 and where the square underflows."""
     return float(epsilon) * float(epsilon)
 
 
@@ -176,14 +174,13 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
     kinds is the last one.
 
     After the clamp every factor entry is at least epsilon, and no step of
-    any kind writes one below it, so every product the run forms is at
-    least lo = epsilon * epsilon (:func:`_product_bound`). The run states
-    lo once, as the ``product_bound`` of its :class:`KLObjective`. Where lo
-    is positive, the ratio and the objective skip their scans of the
-    product, which cannot find a zero, and MU its zero-locking check; the
-    iterates, the trace and any failure are the same as with the scans, bit
-    for bit. At lo = 0.0 (epsilon 0, or an epsilon whose square
-    underflows) every scan runs.
+    any kind writes one below it. The run states once what that proves, the
+    ``product_bound`` of its :class:`KLObjective`, epsilon * epsilon (see
+    there); where it is positive the ratio, the objective, MU and the dense
+    Newton slices skip the checks that it makes idle. The iterates, the
+    trace and any failure are the same as with every check, bit for bit.
+    At 0.0 (epsilon 0, or an epsilon whose square underflows) every check
+    runs.
     """
     if init.W.shape != (instance.V.rows, instance.rank) or \
             init.H.shape != (instance.rank, instance.V.cols):

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 import warnings
 
@@ -44,6 +45,16 @@ def write_coordinate(path, M):
         fh.write(f"{M.shape[0]} {M.shape[1]} {rows.size}\n")
         for i, j in zip(rows, cols):
             fh.write(f"{i + 1} {j + 1} {M[i, j]:.17g}\n")
+
+
+def traced_peak(call):
+    """The peak of the memory that ``call()`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestLoadedArrays:
@@ -301,3 +312,18 @@ class TestTextReader:
         values = load_matrix(path).values
         assert calls == [1]
         assert values.dtype == np.float64 and values.flags.c_contiguous
+
+    def test_a_load_holds_the_text_once(self, tmp_path):
+        # Lines padded with blanks make the text many times the matrix, so
+        # a second copy of the text past the size line stands out. Beside
+        # the text, a load costs what one parse of it costs.
+        m, n = 60, 40
+        path = tmp_path / "padded.mtx"
+        with open(path, "w") as fh:
+            fh.write(f"%%MatrixMarket matrix array real general\n{m} {n}\n")
+            fh.writelines(" " * 100 + f"{k % 9}\n" for k in range(m * n))
+        text = path.read_text()
+        parse = traced_peak(lambda: np.loadtxt(io.StringIO(text), skiprows=2,
+                                               ndmin=2))
+        load_matrix(path)
+        assert traced_peak(lambda: load_matrix(path)) - parse < 1.5 * len(text)

@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from conftest import SLICE_PATHS, each_slice_path, random_triple
+from test_product_bound import outcome, unbounded
 from klnmf import (FULL_STEP_LAMBDA, MACHINE_EPS, Factorization,
                    KLObjective, NonDifferentiableError, NonnegMatrix,
                    ProblemInstance, SolverConfig, SolverState, bmd_step,
@@ -18,6 +19,7 @@ from klnmf import (FULL_STEP_LAMBDA, MACHINE_EPS, Factorization,
                    snmu_step)
 from klnmf.benchmark import BenchPlan, execute
 from klnmf.objective import DENSE_DENSITY, Support, support_ratio
+from klnmf import solver
 from klnmf.solver import run
 from klnmf.synthetic import SyntheticSpec, generate, init_random_scaled
 
@@ -717,10 +719,21 @@ def ccd_sweeps(V, W, H, epsilon, h_first, sweeps):
     return state
 
 
+def dense_run(V, W, H, kind, epsilon, sweeps=3):
+    """The instance, init and config of a run of ``kind`` on the dense data
+    V from (W, H), capped at ``sweeps``."""
+    instance = ProblemInstance(NonnegMatrix(V), W.shape[1])
+    assert instance.V.support.dense
+    init = Factorization(NonnegMatrix(W), NonnegMatrix(H))
+    config = SolverConfig(kind, epsilon=epsilon, max_outer_iters=sweeps)
+    return instance, init, config
+
+
 class TestDenseCcdBound:
-    """A dense ccd half skips the product floor and the V/WH^2 cap where
-    the per-half bound proves both identities, and runs both in every
-    slice where it fails."""
+    """A dense Newton sweep skips the product guard, and ccd its V/WH^2
+    cap, where the run's product bound proves them identities, and runs
+    them in every slice where it does not; a sweep called on its own
+    carries no bound."""
 
     @pytest.mark.parametrize("h_first", [True, False])
     @pytest.mark.parametrize("epsilon", [MACHINE_EPS, 1e-9])
@@ -728,23 +741,20 @@ class TestDenseCcdBound:
     def test_sweeps_without_the_guard_are_bitwise_the_guarded_ones(
             self, rng, monkeypatch, scale, epsilon, h_first):
         calls = count_guards(monkeypatch)
+        monkeypatch.setattr(solver, "ccd_sweep",
+                            partial(ccd_sweep, h_first=h_first))
         for _ in range(3):
             V, W, H = random_triple(rng, m=9, n=8, r=3)
             V, W, H = (np.ldexp(V, scale), np.ldexp(W, scale // 2),
                        np.ldexp(H, scale // 2))
-            assert Support(V).dense
-            proved = ccd_sweeps(V, W, H, epsilon, h_first, sweeps=3)
+            problem = dense_run(V, W, H, "ccd", epsilon)
+            proved = outcome(*problem)
             assert calls == []
-            with monkeypatch.context() as patch:
-                patch.setattr(scalar_newton, "_floor_idle",
-                              lambda *args: False)
-                guarded = ccd_sweeps(V, W, H, epsilon, h_first, sweeps=3)
+            guarded = unbounded(*problem)
             # 3 sweeps of 2 halves of 3 rows, each updated 3 times.
             assert len(calls) == 54
             calls.clear()
-            for name in ("W", "H", "WH"):
-                np.testing.assert_array_equal(getattr(proved, name),
-                                              getattr(guarded, name))
+            assert proved == guarded
 
     def test_a_default_run_calls_no_guard(self, rng, monkeypatch):
         matrix, r, state = workspace_instance(rng, "dense")
@@ -755,40 +765,65 @@ class TestDenseCcdBound:
         assert trace.samples[-1].sweep == 3
         assert calls == []
 
+    @pytest.mark.parametrize("kind, epsilon, per_sweep", [
+        # 2 halves of 3 rows, each updated 3 times, in each sn sweep; an
+        # snmu step runs 10 of them.
+        ("sn", 1e-6, 0), ("snmu", 1e-6, 0), ("sn", None, 18),
+        ("ccd", 0.0, 18)])
+    def test_a_run_guards_its_slices_only_without_a_bound(
+            self, rng, monkeypatch, kind, epsilon, per_sweep):
+        calls = count_guards(monkeypatch)
+        V, W, H = random_triple(rng, m=9, n=8, r=3)
+        run(*dense_run(V, W, H, kind, epsilon, sweeps=2))
+        assert len(calls) == 2 * per_sweep
+        assert all(damped == (kind != "ccd") for _, _, damped, _ in calls)
+
     @staticmethod
     def epsilon_zero(rng):
-        # The instance of test_ccd_floors_cache_and_continues: W @ H is 0.
-        V, W, H = np.array([[1.0, 1.0]]), np.array([[0.0]]), np.ones((1, 2))
+        V, W, H = random_triple(rng, m=6, n=5, r=2)
+        assert solver._product_bound(0.0) == 0.0
         return V, W, H, 0.0
 
     @staticmethod
     def epsilon_squared_below_the_floor(rng):
         V, W, H = random_triple(rng, m=6, n=5, r=2)
         W[0, 0] = H[0, 0] = 1e-160
-        return V, W, H, 1e-160
-
-    @staticmethod
-    def bound_below_the_floor_alone(rng):
-        # Data near 1e-302: lo = 5e-301 is below the floor, and V / lo^2
-        # stays under 1e300, so only the floor fails the bound of the first
-        # half, either way round.
-        V, W, H = random_triple(rng, m=6, n=5, r=2)
-        V = np.ldexp(V, -1003)
-        W[0, 0] = H[0, 0] = 5e-141
-        lo = 5e-141 * 1e-160
-        assert lo < scalar_newton.CCD_PRODUCT_FLOOR
-        assert V.max() / lo / lo <= 1e300
+        assert 0 < solver._product_bound(1e-160) < scalar_newton.CCD_PRODUCT_FLOOR
         return V, W, H, 1e-160
 
     @staticmethod
     def ratio_above_the_cap(rng):
-        # lo = min(W) * epsilon clears the floor, but V / lo^2 exceeds 1e300.
+        # The bound clears the floor, but V / bound^2 exceeds 1e300.
         V, W, H = random_triple(rng, m=6, n=5, r=2)
         V = np.ldexp(V, 900)
-        lo = W.min() * MACHINE_EPS
-        assert lo >= scalar_newton.CCD_PRODUCT_FLOOR
-        assert V.max() / lo / lo > 1e300
+        bound = solver._product_bound(MACHINE_EPS)
+        assert bound >= scalar_newton.CCD_PRODUCT_FLOOR
+        assert float(V.max()) / bound / bound > 1e300
         return V, W, H, MACHINE_EPS
+
+    @pytest.mark.parametrize("h_first", [True, False])
+    @pytest.mark.parametrize("case", ["epsilon_zero",
+                                      "epsilon_squared_below_the_floor",
+                                      "ratio_above_the_cap"])
+    def test_every_slice_is_guarded_where_the_bound_fails(
+            self, rng, monkeypatch, case, h_first):
+        V, W, H, epsilon = getattr(self, case)(rng)
+        calls = count_guards(monkeypatch)
+        monkeypatch.setattr(solver, "ccd_sweep",
+                            partial(ccd_sweep, h_first=h_first))
+        factors, trace = run(*dense_run(V, W, H, "ccd", epsilon, sweeps=1))
+        assert trace.samples[-1].sweep == 1
+        # 2 halves, each guarding each of its r rows 3 times.
+        assert len(calls) == 2 * W.shape[1] * 3
+        assert all(not damped for _, _, damped, _ in calls)
+        assert np.all(np.isfinite(factors.W.values))
+        assert np.all(np.isfinite(factors.H.values))
+
+    @staticmethod
+    def zero_product(rng):
+        # The instance of test_ccd_floors_cache_and_continues: W @ H is 0.
+        V, W, H = np.array([[1.0, 1.0]]), np.array([[0.0]]), np.ones((1, 2))
+        return V, W, H, 0.0
 
     @staticmethod
     def negative_entry(rng):
@@ -798,25 +833,21 @@ class TestDenseCcdBound:
         W[0, 0] = H[1, 2] = -0.05
         return V, W, H, MACHINE_EPS
 
+    @staticmethod
+    def bounded_in_a_run(rng):
+        # Factors a run at this epsilon would sweep without a guard.
+        V, W, H = random_triple(rng, m=6, n=5, r=2)
+        return V, W, H, MACHINE_EPS
+
     @pytest.mark.parametrize("h_first", [True, False])
-    @pytest.mark.parametrize("case", ["epsilon_zero",
-                                      "epsilon_squared_below_the_floor",
-                                      "bound_below_the_floor_alone",
-                                      "ratio_above_the_cap", "negative_entry"])
-    def test_every_slice_is_guarded_where_the_bound_fails(
+    @pytest.mark.parametrize("case", ["zero_product", "negative_entry",
+                                      "bounded_in_a_run"])
+    def test_a_sweep_called_on_its_own_guards_every_slice(
             self, rng, monkeypatch, case, h_first):
         V, W, H, epsilon = getattr(self, case)(rng)
         assert Support(V).dense
-        calls, bounds = count_guards(monkeypatch), []
-
-        def bound(*args, _bound=scalar_newton._floor_idle):
-            bounds.append(_bound(*args))
-            return bounds[-1]
-        monkeypatch.setattr(scalar_newton, "_floor_idle", bound)
+        calls = count_guards(monkeypatch)
         state = ccd_sweeps(V, W, H, epsilon, h_first, sweeps=1)
-        # The first half's bound fails, and a half whose bound fails guards
-        # each of its r rows 3 times.
-        assert len(bounds) == 2 and not bounds[0]
-        assert len(calls) == bounds.count(False) * W.shape[1] * 3
+        assert len(calls) == 2 * W.shape[1] * 3
         assert all(not damped for _, _, damped, _ in calls)
         assert np.all(np.isfinite(state.W)) and np.all(np.isfinite(state.H))
