@@ -16,10 +16,9 @@ from klnmf import (FULL_STEP_LAMBDA, MACHINE_EPS, Factorization,
                    ProblemInstance, SolverConfig, SolverState, bmd_step,
                    ccd_sweep, kl_divergence, mu_step, scalar_newton,
                    self_concordant_constants, sn_sweep, sn_update_scalar,
-                   snmu_step)
+                   snmu_step, solver)
 from klnmf.benchmark import BenchPlan, execute
 from klnmf.objective import DENSE_DENSITY, Support, support_ratio
-from klnmf import solver
 from klnmf.solver import run
 from klnmf.synthetic import SyntheticSpec, generate, init_random_scaled
 
