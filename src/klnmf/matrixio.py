@@ -5,22 +5,23 @@ MatrixMarket when its first line starts with the ``%%MatrixMarket`` banner,
 CSV otherwise. It accepts the coordinate and the array variant of
 MatrixMarket, real or integer, general symmetry, with the four keywords
 after the banner in any case (as NIST's reference reader ``mmio.c``
-lowercases them); coordinate files are densified. The writer emits the
-array variant with 17 significant digits, so a save/load round trip is
-exact.
+lowercases them); coordinate files are densified. The writer is
+``np.savetxt``: the array variant or CSV, with 17 significant digits, so a
+save/load round trip is exact.
 
-The entries of a file are parsed in one bulk call to ``np.loadtxt``,
-NumPy's C text reader (NumPy >= 1.23; the package requires 1.24), and then
-checked as arrays: the entry count, the index range, duplicate coordinates,
-finite and nonnegative values. Its float parse gives the bits of Python's
-``float()``. When the parse or a check fails, a second pass over the lines
-finds the first faulty line in file order and raises
-:class:`~klnmf.errors.MatrixFileError` with its line number, the same
-message for the same file as a line-by-line reader gives. What the text
-reader sets as the language of a file:
+The lines of the text, as ``open`` ended them, are parsed in one bulk call
+to ``np.loadtxt``, NumPy's C text reader (NumPy >= 1.23; the package
+requires 1.24), and then checked as arrays: the entry count, the index
+range, duplicate coordinates, finite and nonnegative values. Its float
+parse gives the bits of Python's ``float()``. When the parse or a check
+fails, a second pass over the lines finds the first faulty line in file
+order and raises :class:`~klnmf.errors.MatrixFileError` with its line
+number, the same message for the same file as a line-by-line reader gives.
+What the text reader sets as the language of a file:
 
 - lines end at ``\\n``, ``\\r\\n`` or ``\\r``; other Unicode line breaks
-  are whitespace inside a line;
+  are whitespace inside a line, and a line of whitespace is blank, in CSV
+  as in MatrixMarket;
 - a number is ASCII, without the ``_`` digit separators that Python's
   ``int()`` and ``float()`` accept (MatrixMarket has no such literal);
 - a MatrixMarket comment is a whole line starting with ``%``: an entry
@@ -32,7 +33,6 @@ A file that is not text in the locale's encoding is a
 """
 from __future__ import annotations
 
-import io
 import math
 import re
 import warnings
@@ -53,29 +53,34 @@ _COORDINATE = np.dtype([("row", np.int64), ("col", np.int64),
 _DATA_LINE = re.compile(r"^[^\S\n]*[^%\s].*", re.MULTILINE)
 # A data line with a '%' after its first character.
 _TRAILING_COMMENT = re.compile(r"^[^\S\n]*[^%\s][^\n]*%", re.MULTILINE)
-# A line of blanks after the first line: np.loadtxt skips it in a
-# whitespace-separated file, but reads it as a row of one field in a CSV.
-_BLANK_LINE = re.compile(r"\n[^\S\n]+$", re.MULTILINE)
 
 
 def save_matrix(matrix, path, format: str = "matrixmarket") -> None:
-    """Write a matrix to ``path`` in the requested format."""
+    """Write a matrix to ``path`` in the requested format: the array variant
+    of MatrixMarket, entries in column-major order, or CSV. ``np.savetxt``
+    writes every entry with 17 significant digits."""
     arr = as_matrix_array(matrix)
-    if format == "matrixmarket":
-        _save_mm_array(arr, path)
-    elif format == "csv":
-        _save_csv(arr, path)
-    else:
+    if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {format!r}")
+    # An open file, not the path, which np.savetxt gzips if it ends in '.gz'.
+    with open(path, "w") as fh:
+        if format == "csv":
+            np.savetxt(fh, arr, fmt="%.17g", delimiter=",")
+        else:
+            np.savetxt(fh, arr.reshape(-1, order="F"), fmt="%.17g", comments="",
+                       header=f"{_MM_BANNER} matrix array real general\n"
+                              f"{arr.shape[0]} {arr.shape[1]}")
 
 
 def load_matrix(path) -> NonnegMatrix:
     """Read a matrix: MatrixMarket if the file starts with its banner, else
     CSV.
 
-    The entries are parsed by one ``np.loadtxt`` call and validated as
-    arrays; a file that fails raises :class:`MatrixFileError` naming its
-    first faulty line (see the module docstring for the accepted language).
+    ``path`` is opened once, so a pipe such as ``<(zcat v.mtx.gz)`` loads
+    too. The lines of its text are parsed by one ``np.loadtxt`` call and
+    validated as arrays; a file that fails raises :class:`MatrixFileError`
+    naming its first faulty line (see the module docstring for the accepted
+    language).
     """
     try:
         with open(path) as fh:
@@ -89,26 +94,8 @@ def load_matrix(path) -> NonnegMatrix:
     return NonnegMatrix._adopt(_load_csv(path, text))
 
 
-def _save_mm_array(arr: np.ndarray, path) -> None:
-    m, n = arr.shape
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix array real general\n")
-        fh.write(f"{m} {n}\n")
-        # The array variant lists entries in column-major order.
-        for j in range(n):
-            for i in range(m):
-                fh.write(f"{arr[i, j]:.17g}\n")
-
-
-def _save_csv(arr: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        for row in arr:
-            fh.write(",".join(f"{x:.17g}" for x in row))
-            fh.write("\n")
-
-
-def _parse(text: str, **options) -> np.ndarray | None:
-    """``np.loadtxt`` of ``text``, or None where it rejects a line."""
+def _parse(lines: list[str], **options) -> np.ndarray | None:
+    """``np.loadtxt`` of ``lines``, or None if it rejects one."""
     with warnings.catch_warnings():
         # NumPy 1.x reads an integer written as a float ('2.0') with a
         # DeprecationWarning, where Python's int() rejects it.
@@ -117,7 +104,7 @@ def _parse(text: str, **options) -> np.ndarray | None:
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                 UserWarning)
         try:
-            return np.loadtxt(io.StringIO(text), **options)
+            return np.loadtxt(lines, **options)
         except (ValueError, DeprecationWarning):
             return None
 
@@ -151,19 +138,21 @@ def _load_mm(path, text: str) -> np.ndarray:
     if m < 1 or n < 1:
         raise MatrixFileError(f"{path}:{size_lineno}: dimensions must be positive")
 
-    # The entries are parsed from the text itself, past the size line, so
-    # that no copy of them lives through the parse.
+    # The entries are parsed from the lines past the size line, split at
+    # '\n' alone, as open() ended them: splitlines() would also split at
+    # '\x1c' or '\u2028'. The list of lines is gone before the densify.
     start = size.end() + 1
     out = None
     if text.find("%", start) < 0 or not _TRAILING_COMMENT.search(text, start):
         if layout == "coordinate":
-            parsed = _parse(text, skiprows=size_lineno, dtype=_COORDINATE,
+            parsed = _parse(text.split("\n"), skiprows=size_lineno, dtype=_COORDINATE,
                             comments="%", ndmin=1)
             if parsed is not None and parsed.size == nnz:
                 out = _densify(parsed, m, n)
         else:
             # ndmin=2 keeps one line of two values from reading as two entries.
-            parsed = _parse(text, skiprows=size_lineno, comments="%", ndmin=2)
+            parsed = _parse(text.split("\n"), skiprows=size_lineno,
+                            comments="%", ndmin=2)
             if parsed is not None and parsed.shape == (nnz, 1):
                 out = _unstack(parsed, m, n)
     if out is None:
@@ -198,11 +187,11 @@ def _unstack(column: np.ndarray, m: int, n: int) -> np.ndarray | None:
 def _load_csv(path, text: str) -> np.ndarray:
     if not text or text.isspace():
         raise MatrixFileError(f"{path}: empty matrix file")
-    first = text.partition("\n")[0]
-    if first.isspace():
-        text = text[len(first):]
-    text = _BLANK_LINE.sub("\n", text)
-    parsed = _parse(text, delimiter=",", comments=None, ndmin=2)
+    # np.loadtxt skips a line of blanks in a whitespace-separated file, but
+    # reads it as a row of one field in a CSV.
+    parsed = _parse([line if not line.isspace() else ""
+                     for line in text.split("\n")],
+                    delimiter=",", comments=None, ndmin=2)
     if parsed is not None and _nonnegative(parsed):
         return parsed
     raise _csv_fault(path, text)

@@ -203,6 +203,12 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
             "convergence guarantee; use a positive epsilon", stacklevel=2)
 
     objective = KLObjective(instance.V)
+    with np.errstate(over="ignore"):
+        constant = objective.support.constant
+    if not math.isfinite(constant):
+        raise SolverInitError(
+            "the objective's constant sum(V*log(V) - V) overflows the float "
+            "range; rescale the data")
     objective.product_bound = _product_bound(epsilon)
     obj = objective.of_product(state.WH, (state.col_sums_W, state.row_sums_H))
     if not obj.is_finite:

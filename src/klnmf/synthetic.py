@@ -124,9 +124,12 @@ def init_random_scaled(m: int, n: int, r: int, V, seed: int) -> Factorization:
     makes the pair scaled by construction.
     """
     arr = np.asarray(V, dtype=np.float64)
-    total_v = float(arr.sum())
+    with np.errstate(over="ignore"):
+        total_v = float(arr.sum())
     if total_v <= 0:
         raise DegenerateInputError("data matrix sums to zero; cannot scale an init")
+    if total_v == math.inf:
+        raise DegenerateInputError("data matrix sums to infinity; rescale the data")
     rng = _rng(seed, _STREAM_INIT)
     W = rng.random((m, r))
     H = rng.random((r, n))

@@ -37,6 +37,28 @@ class TestRoundTrips:
         save_matrix(NonnegMatrix(np.ones((2, 2))), path)
         assert load_matrix(path).shape == (2, 2)
 
+    @pytest.mark.parametrize("format, text", [
+        ("matrixmarket", "%%MatrixMarket matrix array real general\n2 3\n"
+                         "0\n0.10000000000000001\n-0\n1.0000000000000001e+300\n"
+                         "4.9406564584124654e-324\n2\n"),
+        ("csv", "0,-0,4.9406564584124654e-324\n"
+                "0.10000000000000001,1.0000000000000001e+300,2\n"),
+    ])
+    def test_written_text_is_pinned(self, tmp_path, format, text):
+        # 17 significant digits in %g style, the signed zero and the
+        # smallest subnormal included; MatrixMarket lists column by column.
+        path = tmp_path / "m.txt"
+        save_matrix(np.array([[0.0, -0.0, 5e-324], [0.1, 1e300, 2.0]]), path,
+                    format=format)
+        assert path.read_bytes() == text.encode()
+
+    def test_a_gz_name_is_written_as_text(self, tmp_path):
+        # np.savetxt compresses a file it opens by a '.gz' name; the writer
+        # hands it an open file, so the loader reads what it wrote.
+        path = tmp_path / "m.mtx.gz"
+        save_matrix(np.eye(2), path)
+        np.testing.assert_array_equal(load_matrix(path).values, np.eye(2))
+
 
 def write_coordinate(path, M):
     rows, cols = np.nonzero(M)
