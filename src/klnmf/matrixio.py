@@ -145,8 +145,8 @@ def _load_mm(path, text: str) -> np.ndarray:
     out = None
     if text.find("%", start) < 0 or not _TRAILING_COMMENT.search(text, start):
         if layout == "coordinate":
-            parsed = _parse(text.split("\n"), skiprows=size_lineno, dtype=_COORDINATE,
-                            comments="%", ndmin=1)
+            parsed = _parse(text.split("\n"), skiprows=size_lineno,
+                            dtype=_COORDINATE, comments="%", ndmin=1)
             if parsed is not None and parsed.size == nnz:
                 out = _densify(parsed, m, n)
         else:

@@ -4,12 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from klnmf import (BenchPlan, KLObjective, MatrixFileError, RunResult,
-                   ShapeError, SolverConfig, SyntheticSpec, load_matrix,
-                   median_curve, performance_profile, ranking_vectors,
-                   read_traces, save_matrix)
+from klnmf import (BenchPlan, DegenerateInputError, KLObjective,
+                   MatrixFileError, NonnegMatrix, ProblemInstance, RunResult,
+                   ShapeError, SolverConfig, SolverInitError, SyntheticSpec,
+                   init_random_scaled, load_matrix, median_curve,
+                   performance_profile, ranking_vectors, read_traces, run,
+                   save_matrix)
 from klnmf.cli import main
+from klnmf.solver import SOLVER_KINDS
 from klnmf.synthetic import gen_full_rank, gen_low_rank
+from test_product_bound import NAN_DATA
 
 SPEC = SyntheticSpec(kind="low-rank", m=6, n=6, r_true=2, seed=7)
 
@@ -154,3 +158,22 @@ class TestCli:
                                  "--out-dir", tmp_path / "out")
         assert code == 2
         assert "cannot read plan" in err
+
+
+# The 7x6 counts of the product-bound tests, back at scale 1.
+TOP_COUNTS = NAN_DATA / 2.0 ** 1000
+
+
+@pytest.mark.parametrize("kind", SOLVER_KINDS)
+def test_run_rejects_data_whose_constant_overflows(kind):
+    # At 2**1010 sum(V*log(V) - V) passes the float range before any sweep.
+    V = NonnegMatrix(TOP_COUNTS * 2.0 ** 1010)
+    init = init_random_scaled(7, 6, 4, V.values, 0)
+    with pytest.raises(SolverInitError, match="overflows.*rescale the data"):
+        run(ProblemInstance(V, 4), init, SolverConfig(kind=kind,
+                                                      max_outer_iters=3))
+
+
+def test_init_rejects_data_whose_sum_overflows():
+    with pytest.raises(DegenerateInputError, match="sums to infinity"):
+        init_random_scaled(7, 6, 4, TOP_COUNTS * 2.0 ** 1018, 0)

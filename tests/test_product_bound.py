@@ -200,10 +200,10 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None,
 
 
 @st.composite
-def problems(draw):
+def problems(draw, epsilons=(MACHINE_EPS, 1e-6)):
     """Data of 1-12 x 1-12 with some zero rows and columns, a density on
     either side of DENSE_DENSITY and a scale of 2**-400, 1 or 2**400; a
-    rank; an init seed; and epsilon."""
+    rank; an init seed; and epsilon, one of ``epsilons``."""
     m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     density = draw(st.sampled_from([0.25, 0.5, DENSE_DENSITY, 0.8, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -216,7 +216,7 @@ def problems(draw):
     rank = draw(st.integers(1, min(m, n)))
     init = init_random_scaled(m, n, rank, V.values, draw(st.integers(0, 999)))
     return (ProblemInstance(V, rank), init,
-            draw(st.sampled_from([MACHINE_EPS, 1e-6])))
+            draw(st.sampled_from(epsilons)))
 
 
 @SETTINGS
