@@ -42,11 +42,13 @@ def _bmd_half(ratio, L, live, state, epsilon):
 
     ``ratio`` (V / WH) and ``L`` (the data column 1-norms) are in the state's
     orientation; ``live`` is None when every entry of L is positive, else
-    the mask of those that are. Columns with L == 0 are set to epsilon.
+    the mask of those that are. A column with L == 0 takes the step's limit
+    as L -> 0: only the linear term G*h is left, h / (1 + h*G/L) -> 0, and
+    the clamp makes it epsilon.
     """
     W, H = state.W, state.H
     # The denominator 1 + H*G/L, built in place in the buffer the product of
-    # the gradient G = colsum(W) - W.T @ ratio lands in. Dead columns get 1.
+    # the gradient G = colsum(W) - W.T @ ratio lands in. Dead columns get +inf.
     denom = W.T @ ratio
     np.subtract(state.col_sums_W[:, None], denom, out=denom)
     denom *= H
@@ -54,7 +56,7 @@ def _bmd_half(ratio, L, live, state, epsilon):
         denom /= L
     else:
         np.divide(denom, L, out=denom, where=live)
-        denom[:, ~live] = 0.0
+        denom[:, ~live] = np.inf
     denom += 1.0
     if denom.min() <= 0:
         k, j = np.argwhere(state.oriented(denom <= 0))[0]
@@ -66,8 +68,6 @@ def _bmd_half(ratio, L, live, state, epsilon):
         )
     H /= denom
     np.maximum(H, epsilon, out=H)
-    if live is not None:
-        H[:, ~live] = epsilon
     H.sum(axis=1, out=state.row_sums_H)
     np.matmul(W, H, out=state.WH)
 
@@ -94,9 +94,10 @@ def bmd_step(V, state, epsilon, h_first: bool = True,
              objective: KLObjective | None = None):
     """One full mirror sweep over all columns of H then all rows of W.
 
-    Zero data columns (rows) get their H column (W row) set to epsilon
-    directly: only the linear term remains there, so any feasible value is
-    optimal and the choice is deterministic. The objective never increases.
+    Zero data columns (rows) get their H column (W row) set to epsilon, the
+    step's limit as their 1-norm L goes to 0: only the linear term remains
+    there, and h / (1 + h*g/L) goes to 0 before the clamp. The objective
+    never increases.
     ``objective`` is the :class:`KLObjective` of V, built here when absent;
     a run passes its own. The step constants are its support's sums, and
     which of them are positive its support's ``live``.

@@ -52,8 +52,7 @@ def _mu_half(ratio, state, epsilon, bounded=False):
     H = state.H
     H *= state.W.T @ ratio
     H /= state.col_sums_W[:, None]
-    if epsilon > 0:
-        np.maximum(H, epsilon, out=H)
+    np.maximum(H, epsilon, out=H)
     H.sum(axis=1, out=state.row_sums_H)
     np.matmul(state.W, H, out=state.WH)
 

@@ -421,8 +421,10 @@ class KLObjective:
     failure trace of :func:`~klnmf.benchmark.execute` call
     :meth:`of_factors`, which forms the same product and sums from the
     factors. ``support`` is the :class:`Support` of the data, shared by
-    every object made for the same :class:`NonnegMatrix`; its ``dense``
-    alone picks the path of the ratio, the log pass and the Newton slices.
+    every object made for the same :class:`NonnegMatrix`. Its ``dense``
+    alone picks the path of the Newton slices; the ratio and the log pass
+    take the whole-matrix path only where :meth:`Support.whole_matrix`
+    also finds the product positive.
 
     The object itself is scratch, allocated on first use: ``_wh``, an
     nnz-length vector that a product is gathered into, on its own for

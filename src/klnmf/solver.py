@@ -190,13 +190,12 @@ def run(instance: ProblemInstance, init: Factorization, config: SolverConfig,
         )
     V = instance.V.values
     epsilon = config.resolved_epsilon(instance.epsilon)
-    state = SolverState.from_factors(init.W.values, init.H.values)
-    if epsilon > 0 and (state.W.min() < epsilon or state.H.min() < epsilon):
+    W, H = init.W.values, init.H.values
+    if epsilon > 0 and (W.min() < epsilon or H.min() < epsilon):
         warnings.warn(
             f"initialization clamped up to epsilon={epsilon!r}", stacklevel=2)
-        np.maximum(state.W, epsilon, out=state.W)
-        np.maximum(state.H, epsilon, out=state.H)
-        state.resync()
+        W, H = np.maximum(W, epsilon), np.maximum(H, epsilon)
+    state = SolverState.from_factors(W, H)
     if config.kind == "bmd" and epsilon == 0:
         warnings.warn(
             "bmd with epsilon=0 decreases the objective but loses its "

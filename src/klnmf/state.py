@@ -60,6 +60,8 @@ class SolverState:
         return A.T if self.transposed else A
 
     def resync(self) -> None:
+        """Recompute the product and both sums in place, since :attr:`T`
+        and :meth:`halves` share these arrays."""
         np.matmul(self.W, self.H, out=self.WH)
-        self.col_sums_W = self.W.sum(axis=0)
-        self.row_sums_H = self.H.sum(axis=1)
+        self.W.sum(axis=0, out=self.col_sums_W)
+        self.H.sum(axis=1, out=self.row_sums_H)

@@ -55,7 +55,7 @@ class SyntheticSpec:
     @property
     def class_label(self) -> str:
         if self.kind == "full-rank":
-            return "full-rank"
+            return "full-rank" + ("-poisson" if self.noise == "poisson" else "")
         return f"low-rank-l{self.density:g}-{self.noise}"
 
     def to_dict(self) -> dict:
@@ -109,12 +109,8 @@ def poissonize(V, seed: int) -> NonnegMatrix:
 
 def generate(spec: SyntheticSpec) -> NonnegMatrix:
     """The data matrix a spec describes, noise included."""
-    if spec.kind == "full-rank":
-        return gen_full_rank(spec)
-    _, _, V = gen_low_rank(spec)
-    if spec.noise == "poisson":
-        V = poissonize(V, spec.seed)
-    return V
+    V = gen_full_rank(spec) if spec.kind == "full-rank" else gen_low_rank(spec)[2]
+    return poissonize(V.values, spec.seed) if spec.noise == "poisson" else V
 
 
 def init_random_scaled(m: int, n: int, r: int, V, seed: int) -> Factorization:

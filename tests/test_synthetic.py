@@ -5,7 +5,8 @@ import pytest
 
 from klnmf import (DegenerateInputError, SyntheticSpec, gen_full_rank,
                    gen_low_rank, generate, init_random_scaled, kl_divergence,
-                   optimal_scale, poissonize)
+                   load_matrix, optimal_scale, poissonize)
+from klnmf.cli import main
 
 
 class TestSpecValidation:
@@ -126,6 +127,25 @@ class TestGenerate:
         spec = SyntheticSpec(kind="low-rank", m=10, n=10, r_true=2, seed=6)
         np.testing.assert_array_equal(generate(spec).values,
                                       gen_low_rank(spec)[2].values)
+
+    def test_poisson_noise_applied_to_full_rank_as_the_cli_writes_it(
+            self, tmp_path, capsys):
+        spec = SyntheticSpec(kind="full-rank", m=4, n=4, noise="poisson",
+                             seed=1)
+        noisy = poissonize(gen_full_rank(spec).values, 1).values
+        np.testing.assert_array_equal(generate(spec).values, noisy)
+        assert main(["generate", "--kind", "full-rank", "--m", "4", "--n",
+                     "4", "--noise", "poisson", "--seed", "1",
+                     "--out", str(tmp_path / "v.mtx")]) == 0
+        capsys.readouterr()
+        np.testing.assert_array_equal(
+            load_matrix(tmp_path / "v.poisson.mtx").values, noisy)
+
+    def test_full_rank_labels_differ_by_noise(self):
+        labels = {noise: SyntheticSpec(kind="full-rank", m=4, n=4,
+                                       noise=noise).class_label
+                  for noise in ("none", "poisson")}
+        assert labels == {"none": "full-rank", "poisson": "full-rank-poisson"}
 
 
 class TestInitRandomScaled:

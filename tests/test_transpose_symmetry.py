@@ -46,6 +46,17 @@ def test_transposed_state_shares_arrays():
     assert flipped.WH.shape == (4, 3)
 
 
+def test_resync_of_the_transposed_state_refreshes_this_state():
+    # resync() writes the arrays that T and halves() share, so the sums of
+    # the state they were made from are fresh too.
+    state = SolverState.from_factors(np.ones((3, 2)), np.ones((2, 4)))
+    state.H[...] = 2.0
+    state.T.resync()
+    np.testing.assert_array_equal(state.row_sums_H, state.H.sum(axis=1))
+    np.testing.assert_array_equal(state.col_sums_W, state.W.sum(axis=0))
+    np.testing.assert_array_equal(state.WH, state.W @ state.H)
+
+
 def zero_product_at_0_2():
     """Positive 3x4 data whose cached product vanishes only at (0, 2)."""
     V = np.ones((3, 4))

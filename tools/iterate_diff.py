@@ -14,8 +14,10 @@ from its ``klbench/``, with every BLAS pool pinned to one thread, and runs:
 
 - every solver kind on both klbench solve instances, capped at its
   ``sweeps_hint`` + 5 sweeps;
-- ``sn`` and ``ccd`` sweeps, updating H first and then W first, on seeded
-  random data passed as a raw array and transposed;
+- ``mu``, ``bmd``, ``sn`` and ``ccd`` sweeps (``mu`` and ``sn`` at
+  epsilon 0, ``bmd`` and ``ccd`` at machine precision), updating H first
+  and then W first, on seeded random data with an empty first row and last
+  column, passed as a raw array and transposed;
 - every run of ``klbench/plan.json``.
 
 It saves final W and H, every recorded objective, relative error and sweep
@@ -118,10 +120,13 @@ def _solve_runs(out: dict, instances, toy: bool, nudge: bool, tmp: Path) -> None
 
 def _sweeps(out: dict, toy: bool, nudge: bool) -> None:
     import numpy as np
+    from klnmf.mirror import bmd_step
+    from klnmf.multiplicative import mu_step
     from klnmf.solver import MACHINE_EPS
     from klnmf.scalar_newton import ccd_sweep, sn_sweep
     from klnmf.state import SolverState
-    steps = {"sn": (sn_sweep, 0.0), "ccd": (ccd_sweep, MACHINE_EPS)}
+    steps = {"mu": (mu_step, 0.0), "bmd": (bmd_step, MACHINE_EPS),
+             "sn": (sn_sweep, 0.0), "ccd": (ccd_sweep, MACHINE_EPS)}
     cases, sweeps = SWEEP_CASES["toy" if toy else "full"]
     rng = np.random.default_rng(20131)
     for case in range(cases):
@@ -129,6 +134,7 @@ def _sweeps(out: dict, toy: bool, nudge: bool) -> None:
         r = int(rng.integers(1, min(m, n) + 1))
         density = float(rng.choice([0.2, 0.5, 0.8, 1.0]))
         V = rng.uniform(0.0, 3.0, (m, n)) * (rng.random((m, n)) < density)
+        V[0] = V[:, -1] = 0.0  # the empty row and column rules of each step
         W = rng.uniform(0.1, 2.0, (m, r))
         H = rng.uniform(0.1, 2.0, (r, n))
         if nudge:
